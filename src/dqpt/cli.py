@@ -300,12 +300,18 @@ def _write_csv(path: str, header, rows):
 # ---------------------------------------------------------------------------
 # task handlers: each returns (header, rows, diagnostics, degraded)
 
-def _task_rate(cfg, warnings):
+_RATE_HEADER = ("t", "r", "err_bound", "singular_flag")
+
+
+def _rate_rows(protocol, cfg, warnings):
+    """Quadrature rate series, its CSV rows, manifest diagnostics, degraded flag."""
     diag_in: dict = {}
-    series = compute_rate_series(_protocol(cfg), _times(cfg), cfg.tol, diagnostics=diag_in)
+    series = compute_rate_series(protocol, _times(cfg), cfg.tol, diagnostics=diag_in)
     rows = []
     singular = 0
-    for t, r, e in zip(series.times, series.values, series.estimated_error):
+    for t, r, e in zip(
+        series.times.tolist(), series.values.tolist(), series.estimated_error.tolist()
+    ):
         bad = (not math.isfinite(r)) or e > cfg.tol
         singular += bad
         rows.append((_fmt(t), _fmt(r), _fmt(e), "1" if bad else "0"))
@@ -316,7 +322,12 @@ def _task_rate(cfg, warnings):
         ("rate.unconverged_samples", diag_in["unconverged_samples"]),
         ("rate.singular_rows", singular),
     ]
-    return ("t", "r", "err_bound", "singular_flag"), rows, diag, singular > 0
+    return series, rows, diag, singular > 0
+
+
+def _task_rate(cfg, warnings):
+    _, rows, diag, degraded = _rate_rows(_protocol(cfg), cfg, warnings)
+    return _RATE_HEADER, rows, diag, degraded
 
 
 def _task_rate_finite(cfg, warnings):
@@ -495,21 +506,8 @@ def _sweep_cell(payload):
         mode_rows,
     )
 
-    diag_in: dict = {}
-    series = compute_rate_series(protocol, _times(cfg), cfg.tol, diagnostics=diag_in)
-    singular = 0
-    rate_rows = []
-    for t, r, e in zip(series.times, series.values, series.estimated_error):
-        bad = (not math.isfinite(r)) or e > cfg.tol
-        singular += bad
-        rate_rows.append((_fmt(t), _fmt(r), _fmt(e), "1" if bad else "0"))
-    if singular:
-        warnings.append(f"{singular} rate samples singular or above tolerance")
-    _write_csv(
-        os.path.join(cell_dir, "rate.csv"),
-        ("t", "r", "err_bound", "singular_flag"),
-        rate_rows,
-    )
+    series, rate_rows, rate_diag, degraded = _rate_rows(protocol, cfg, warnings)
+    _write_csv(os.path.join(cell_dir, "rate.csv"), _RATE_HEADER, rate_rows)
 
     cusps = detect_cusps(series)
     first_time = min((ladder[0] for ladder in cs.times), default=math.nan)
@@ -518,9 +516,8 @@ def _sweep_cell(payload):
     manifest.add("version", __version__)
     _config_echo(manifest, cfg)
     manifest.add("critical_modes.count", len(cs.modes))
-    manifest.add("rate.extra_panels", diag_in["extra_panels"])
-    manifest.add("rate.unconverged_samples", diag_in["unconverged_samples"])
-    manifest.add("rate.singular_rows", singular)
+    for key, value in rate_diag:
+        manifest.add(key, value)
     manifest.add("cusps.count", len(cusps))
     for i, c in enumerate(cusps):
         manifest.add(f"cusps.{i}", c)
@@ -538,7 +535,7 @@ def _sweep_cell(payload):
         len(cs.modes),
         first_time,
         len(cusps),
-        singular > 0,
+        degraded,
     )
 
 

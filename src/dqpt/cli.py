@@ -9,6 +9,7 @@ files and/or flags, flags winning.  Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -22,7 +23,12 @@ import numpy as np
 
 from . import __version__
 from .criticality import critical_modes, fisher_zero_line, variant_report
-from .mode_dynamics import boundary_partition, mode_coefficients, null_work_decomposition
+from .mode_dynamics import (  # noqa: F401 (perfbench traces null_work_decomposition here)
+    boundary_partition,
+    mode_coefficients,
+    mode_echo,
+    null_work_decomposition,
+)
 from .model import QuenchProtocol, mode_grid
 from .observables import (
     K_EPS,
@@ -99,54 +105,62 @@ def _parse_number_list(text) -> tuple:
     return tuple(parse_number(p) for p in parts)
 
 
+def _parse_int_list(text) -> tuple:
+    return tuple(_parse_int(p) for p in str(text).split(",") if p.strip())
+
+
+def _parse_text(text) -> str:
+    return str(text).strip()
+
+
+def _opt(default, parse, flag=None, **argparse_kwargs):
+    """A RunConfig option: its default, the parser its file key and its
+    flag share, and the flag (None for file-only keys) with its argparse
+    settings."""
+    return dataclasses.field(
+        default=default, metadata={"parse": parse, "flag": flag, "argparse": argparse_kwargs}
+    )
+
+
 @dataclass
 class RunConfig:
+    # field order is the order of the config.* keys in every manifest
     task: str
-    lambda_pre: float = 0.5
-    lambda_post: float = 2.0
-    beta: float = 10.0
-    phi: float = 0.0
-    coupling: float = 1.0
-    t_min: float = 0.0
-    t_max: float = 4.0
-    steps: int = 401
-    k_resolution: int = 256
-    branches: tuple = (0,)
-    variant: str = "sinh"
-    tol: float = 1e-8
-    n_sites: int = 1000
-    n_max: int = 3
-    out: str | None = None
-    jobs: int = 1
-    sweep_cap: int = 10000
-    beta_list: tuple | None = None
-    phi_list: tuple | None = None
-    lambda_post_list: tuple | None = None
+    lambda_pre: float = _opt(0.5, parse_number, "--lambda-pre", metavar="X")
+    lambda_post: float = _opt(2.0, parse_number, "--lambda-post", metavar="X")
+    beta: float = _opt(
+        10.0, parse_number, "--beta", metavar="X", help="inverse temperature; 'infinite' allowed"
+    )
+    phi: float = _opt(
+        0.0, parse_number, "--phi", metavar="X", help="relative phase; accepts forms like pi/2"
+    )
+    coupling: float = _opt(1.0, parse_number, "--coupling", metavar="X")
+    t_min: float = _opt(0.0, parse_number, "--t-min", metavar="X")
+    t_max: float = _opt(4.0, parse_number, "--t-max", metavar="X")
+    steps: int = _opt(401, _parse_int, "--steps", metavar="N")
+    k_resolution: int = _opt(256, _parse_int, "--k-resolution", metavar="N")
+    branches: tuple = _opt(
+        (0,),
+        _parse_int_list,
+        "--branch",
+        action="append",
+        metavar="N",
+        help="Fisher-line branch index; repeatable",
+    )
+    variant: str = _opt("sinh", _parse_text, "--variant", choices=("sinh", "tanh"))
+    tol: float = _opt(1e-8, parse_number, "--tol", metavar="X")
+    n_sites: int = _opt(1000, _parse_int, "--n-sites", metavar="N")
+    n_max: int = _opt(3, _parse_int, "--n-max", metavar="N")
+    out: str | None = _opt(None, _parse_text, "--out", metavar="PATH")
+    jobs: int = _opt(1, _parse_int, "--jobs", metavar="N", help="sweep concurrency (env DQPT_JOBS)")
+    sweep_cap: int = _opt(10000, _parse_int, "--sweep-cap", metavar="N")
+    beta_list: tuple | None = _opt(None, _parse_number_list)
+    phi_list: tuple | None = _opt(None, _parse_number_list)
+    lambda_post_list: tuple | None = _opt(None, _parse_number_list)
 
 
-# key -> converter for config files; flags reuse the same converters
-_FILE_KEYS = {
-    "lambda_pre": parse_number,
-    "lambda_post": parse_number,
-    "beta": parse_number,
-    "phi": parse_number,
-    "coupling": parse_number,
-    "t_min": parse_number,
-    "t_max": parse_number,
-    "tol": parse_number,
-    "steps": _parse_int,
-    "k_resolution": _parse_int,
-    "n_sites": _parse_int,
-    "n_max": _parse_int,
-    "jobs": _parse_int,
-    "sweep_cap": _parse_int,
-    "branches": lambda v: tuple(_parse_int(p) for p in str(v).split(",") if p.strip()),
-    "variant": lambda v: str(v).strip(),
-    "out": lambda v: str(v).strip(),
-    "beta_list": _parse_number_list,
-    "phi_list": _parse_number_list,
-    "lambda_post_list": _parse_number_list,
-}
+# option name -> its metadata; the config-file keys, in field order
+_OPTIONS = {f.name: f.metadata for f in dataclasses.fields(RunConfig) if f.metadata}
 
 
 def read_config_file(path: str) -> dict:
@@ -166,50 +180,23 @@ def read_config_file(path: str) -> dict:
         value = value.strip()
         if not sep or not key or not value:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        if key not in _FILE_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = _FILE_KEYS[key](value)
+        out[key] = _OPTIONS[key]["parse"](value)
     return out
 
 
 def _resolve_config(args) -> RunConfig:
-    cfg = RunConfig(task=args.task)
-    jobs_set = False
-    if args.config:
-        for key, value in read_config_file(args.config).items():
-            setattr(cfg, key, value)
-            if key == "jobs":
-                jobs_set = True
-    overrides = {
-        "lambda_pre": parse_number,
-        "lambda_post": parse_number,
-        "beta": parse_number,
-        "phi": parse_number,
-        "coupling": parse_number,
-        "t_min": parse_number,
-        "t_max": parse_number,
-        "tol": parse_number,
-        "steps": int,
-        "k_resolution": int,
-        "n_sites": int,
-        "n_max": int,
-        "jobs": int,
-        "sweep_cap": int,
-        "variant": str,
-        "out": str,
-    }
-    for name, conv in overrides.items():
-        raw = getattr(args, name)
+    """Defaults, then the config file, then flags; DQPT_JOBS if neither set jobs."""
+    given = read_config_file(args.config) if args.config else {}
+    for name, opt in _OPTIONS.items():
+        raw = getattr(args, name, None)
         if raw is not None:
-            setattr(cfg, name, conv(raw))
-            if name == "jobs":
-                jobs_set = True
-    if args.branch:
-        cfg.branches = tuple(args.branch)
-    if not jobs_set:
-        env = os.environ.get("DQPT_JOBS")
-        if env is not None:
-            cfg.jobs = _parse_int(env)
+            # a repeatable flag's values parse like the file key's comma list
+            given[name] = opt["parse"](",".join(raw) if isinstance(raw, list) else raw)
+    if "jobs" not in given and "DQPT_JOBS" in os.environ:
+        given["jobs"] = _parse_int(os.environ["DQPT_JOBS"])
+    cfg = RunConfig(task=args.task, **given)
     _validate(cfg)
     return cfg
 
@@ -221,10 +208,10 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"variant must be sinh or tanh, got {cfg.variant!r}")
     if cfg.steps < 2:
         raise ConfigError(f"steps must be >= 2, got {cfg.steps}")
-    if not cfg.t_min < cfg.t_max:
-        raise ConfigError(f"need t_min < t_max, got [{cfg.t_min}, {cfg.t_max}]")
-    if cfg.tol <= 0.0:
-        raise ConfigError(f"tol must be positive, got {cfg.tol}")
+    if not -math.inf < cfg.t_min < cfg.t_max < math.inf:
+        raise ConfigError(f"need finite t_min < t_max, got [{cfg.t_min}, {cfg.t_max}]")
+    if not 0.0 < cfg.tol < math.inf:
+        raise ConfigError(f"tol must be finite and positive, got {cfg.tol}")
     if cfg.k_resolution < 64:
         raise ConfigError(f"k_resolution must be >= 64, got {cfg.k_resolution}")
     if cfg.n_sites < 2 or cfg.n_sites % 2:
@@ -280,7 +267,31 @@ class RunManifest:
         return cls(entries)
 
 
-def _config_echo(manifest: RunManifest, cfg: RunConfig):
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """Text file that appears at path only once it is completely written."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _write_csv(path: str, header, rows):
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def _write_manifest(path: str, cfg: RunConfig, started: float, entries, warnings=(), tail=()):
+    """Version, resolved config, entries, warnings, tail, then the duration."""
+    manifest = RunManifest()
+    manifest.add("version", __version__)
     for f in dataclasses.fields(RunConfig):
         value = getattr(cfg, f.name)
         if value is None:
@@ -288,13 +299,15 @@ def _config_echo(manifest: RunManifest, cfg: RunConfig):
         if isinstance(value, tuple):
             value = ",".join(_fmt(v) for v in value)
         manifest.add(f"config.{f.name}", value)
-
-
-def _write_csv(path: str, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    for key, value in entries:
+        manifest.add(key, value)
+    for i, w in enumerate(warnings):
+        manifest.add(f"warning.{i}", w)
+    for key, value in tail:
+        manifest.add(key, value)
+    manifest.add("duration_seconds", time.perf_counter() - started)
+    with _atomic_open(path) as fh:
+        fh.write(manifest.to_text())
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +336,19 @@ def _rate_rows(protocol, cfg, warnings):
         ("rate.singular_rows", singular),
     ]
     return series, rows, diag, singular > 0
+
+
+_CRITICAL_HEADER = ("variant", "k_star", "residual", "t_star_0", "jump_sign")
+
+
+def _critical_rows(protocol, cfg):
+    """Critical modes with jump signs, and their CSV rows."""
+    cs = critical_modes(protocol, cfg.variant, cfg.n_max, with_jump_signs=True)
+    rows = [
+        (cs.condition_variant, _fmt(k), _fmt(res), _fmt(ladder[0]), _fmt(int(sign)))
+        for k, res, ladder, sign in zip(cs.modes, cs.residuals, cs.times, cs.jump_signs)
+    ]
+    return cs, rows
 
 
 def _task_rate(cfg, warnings):
@@ -362,22 +388,11 @@ def _task_zeros(cfg, warnings):
 
 
 def _task_critical_modes(cfg, warnings):
-    cs = critical_modes(_protocol(cfg), cfg.variant, cfg.n_max, with_jump_signs=True)
-    rows = []
-    for i, k_star in enumerate(cs.modes):
-        rows.append(
-            (
-                cs.condition_variant,
-                _fmt(k_star),
-                _fmt(cs.residuals[i]),
-                _fmt(cs.times[i][0]),
-                _fmt(int(cs.jump_signs[i])),
-            )
-        )
+    cs, rows = _critical_rows(_protocol(cfg), cfg)
     diag = [("critical_modes.count", len(cs.modes))]
     for i, r in enumerate(cs.residuals):
         diag.append((f"critical_modes.residual.{i}", r))
-    return ("variant", "k_star", "residual", "t_star_0", "jump_sign"), rows, diag, False
+    return _CRITICAL_HEADER, rows, diag, False
 
 
 def _task_winding(cfg, warnings):
@@ -403,21 +418,19 @@ def _task_winding(cfg, warnings):
 
 
 def _task_echo_decomposition(cfg, warnings):
-    protocol = _protocol(cfg)
     momenta = mode_grid(cfg.n_sites).momenta
+    coeffs = mode_coefficients(_protocol(cfg), momenta)
+    times = _times(cfg)
+    # (time x mode); the null-work probability cos^2 + sin^2 cos^2(2 dtheta)
+    # is the echo with the imbalance replaced by cos(2 dtheta)
+    echo = mode_echo(coeffs.imbalance, coeffs.eps_post, times[:, None])
+    null = mode_echo(np.cos(2.0 * coeffs.delta_theta), coeffs.eps_post, times[:, None])
+    k_text = [_fmt(k) for k in momenta.tolist()]
     rows = []
-    for t in _times(cfg):
-        for k in momenta:
-            null, interference = null_work_decomposition(protocol, float(k), float(t))
-            rows.append(
-                (
-                    _fmt(t),
-                    _fmt(k),
-                    _fmt(null + interference),
-                    _fmt(null),
-                    _fmt(interference),
-                )
-            )
+    for t, echo_t, null_t in zip(times.tolist(), echo, null):
+        t_text = _fmt(t)
+        columns = zip(k_text, echo_t.tolist(), null_t.tolist(), (echo_t - null_t).tolist())
+        rows.extend((t_text, k, _fmt(e), _fmt(n), _fmt(i)) for k, e, n, i in columns)
     diag = [("echo.rows", len(rows))]
     return ("t", "k", "echo", "null_work", "interference"), rows, diag, False
 
@@ -456,19 +469,9 @@ def _run_task(cfg: RunConfig) -> int:
     warnings: list = []
     header, rows, diag, degraded = _HANDLERS[cfg.task](cfg, warnings)
     _write_csv(out_path, header, rows)
-    manifest = RunManifest()
-    manifest.add("version", __version__)
-    _config_echo(manifest, cfg)
-    manifest.add("output", out_path)
-    manifest.add("rows", len(rows))
-    for key, value in diag:
-        manifest.add(key, value)
-    for i, w in enumerate(warnings):
-        manifest.add(f"warning.{i}", w)
-    manifest.add("degraded", degraded)
-    manifest.add("duration_seconds", time.perf_counter() - started)
-    with open(out_path + ".manifest", "w", encoding="utf-8") as fh:
-        fh.write(manifest.to_text())
+    entries = [("output", out_path), ("rows", len(rows)), *diag]
+    tail = [("degraded", degraded)]
+    _write_manifest(out_path + ".manifest", cfg, started, entries, warnings, tail)
     if degraded:
         print(f"dqpt: {cfg.task}: numerical degradation, see {out_path}.manifest", file=sys.stderr)
         return 3
@@ -489,43 +492,17 @@ def _sweep_cell(payload):
     protocol = _protocol(cfg)
     warnings: list = []
 
-    cs = critical_modes(protocol, cfg.variant, cfg.n_max, with_jump_signs=True)
-    mode_rows = [
-        (
-            cs.condition_variant,
-            _fmt(cs.modes[i]),
-            _fmt(cs.residuals[i]),
-            _fmt(cs.times[i][0]),
-            _fmt(int(cs.jump_signs[i])),
-        )
-        for i in range(len(cs.modes))
-    ]
-    _write_csv(
-        os.path.join(cell_dir, "critical_modes.csv"),
-        ("variant", "k_star", "residual", "t_star_0", "jump_sign"),
-        mode_rows,
-    )
-
+    cs, mode_rows = _critical_rows(protocol, cfg)
+    _write_csv(os.path.join(cell_dir, "critical_modes.csv"), _CRITICAL_HEADER, mode_rows)
     series, rate_rows, rate_diag, degraded = _rate_rows(protocol, cfg, warnings)
     _write_csv(os.path.join(cell_dir, "rate.csv"), _RATE_HEADER, rate_rows)
 
     cusps = detect_cusps(series)
     first_time = min((ladder[0] for ladder in cs.times), default=math.nan)
 
-    manifest = RunManifest()
-    manifest.add("version", __version__)
-    _config_echo(manifest, cfg)
-    manifest.add("critical_modes.count", len(cs.modes))
-    for key, value in rate_diag:
-        manifest.add(key, value)
-    manifest.add("cusps.count", len(cusps))
-    for i, c in enumerate(cusps):
-        manifest.add(f"cusps.{i}", c)
-    for i, w in enumerate(warnings):
-        manifest.add(f"warning.{i}", w)
-    manifest.add("duration_seconds", time.perf_counter() - started)
-    with open(os.path.join(cell_dir, "cell.manifest"), "w", encoding="utf-8") as fh:
-        fh.write(manifest.to_text())
+    entries = [("critical_modes.count", len(cs.modes)), *rate_diag, ("cusps.count", len(cusps))]
+    entries += [(f"cusps.{i}", c) for i, c in enumerate(cusps)]
+    _write_manifest(os.path.join(cell_dir, "cell.manifest"), cfg, started, entries, warnings)
 
     return (
         os.path.basename(cell_dir),
@@ -597,14 +574,8 @@ def _run_sweep(cfg: RunConfig) -> int:
         index_rows,
     )
 
-    manifest = RunManifest()
-    manifest.add("version", __version__)
-    _config_echo(manifest, cfg)
-    manifest.add("cells", len(cells))
-    manifest.add("degraded_cells", sum(1 for r in results if r[-1]))
-    manifest.add("duration_seconds", time.perf_counter() - started)
-    with open(os.path.join(out_dir, "sweep.manifest"), "w", encoding="utf-8") as fh:
-        fh.write(manifest.to_text())
+    entries = [("cells", len(cells)), ("degraded_cells", sum(1 for r in results if r[-1]))]
+    _write_manifest(os.path.join(out_dir, "sweep.manifest"), cfg, started, entries)
 
     if any(r[-1] for r in results):
         print(f"dqpt: sweep: numerical degradation in some cells, see {out_dir}", file=sys.stderr)
@@ -621,29 +592,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("task", choices=TASKS)
     p.add_argument("--config", metavar="FILE", help="key = value config file")
-    p.add_argument("--lambda-pre", dest="lambda_pre", metavar="X")
-    p.add_argument("--lambda-post", dest="lambda_post", metavar="X")
-    p.add_argument("--beta", metavar="X", help="inverse temperature; 'infinite' allowed")
-    p.add_argument("--phi", metavar="X", help="relative phase; accepts forms like pi/2")
-    p.add_argument("--coupling", metavar="X")
-    p.add_argument("--t-min", dest="t_min", metavar="X")
-    p.add_argument("--t-max", dest="t_max", metavar="X")
-    p.add_argument("--steps", type=int, metavar="N")
-    p.add_argument("--k-resolution", dest="k_resolution", type=int, metavar="N")
-    p.add_argument(
-        "--branch",
-        action="append",
-        type=int,
-        metavar="N",
-        help="Fisher-line branch index; repeatable",
-    )
-    p.add_argument("--variant", choices=("sinh", "tanh"))
-    p.add_argument("--tol", metavar="X")
-    p.add_argument("--out", metavar="PATH")
-    p.add_argument("--jobs", type=int, metavar="N", help="sweep concurrency (env DQPT_JOBS)")
-    p.add_argument("--n-sites", dest="n_sites", type=int, metavar="N")
-    p.add_argument("--n-max", dest="n_max", type=int, metavar="N")
-    p.add_argument("--sweep-cap", dest="sweep_cap", type=int, metavar="N")
+    for name, opt in _OPTIONS.items():
+        if opt["flag"]:
+            # raw strings: _resolve_config parses them like the config file
+            p.add_argument(opt["flag"], dest=name, **opt["argparse"])
     # let detached negative values like "-pi/2" or "-0.3" pass as arguments
     p._negative_number_matcher = re.compile(r"^-(\d|\.\d|(\d+(\.\d*)?\s*\*?\s*)?pi)", re.IGNORECASE)
     return p

@@ -1,9 +1,13 @@
 """Two-level dynamics of a single quenched momentum sector.
 
 The closed forms in this module are what the rest of the package consumes.
-The matrix routines (eigenvectors, Pauli-rotation propagator) are an
-independent route kept deliberately free of the trigonometric shortcuts, so
-the two can be checked against each other.
+mode_echo is the one formula for the per-mode Loschmidt echo |G_k(t)|^2:
+the quadrature and finite-N rate functions, the single-mode critical rate
+and the echo-decomposition task all take it from there.  The matrix
+routines (eigenvectors, Pauli-rotation propagator, mode_amplitude_oracle,
+null_work_decomposition) are an independent route kept deliberately free
+of the trigonometric shortcuts, so the two can be checked against each
+other.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ __all__ = [
     "ModeCoefficients",
     "mode_coefficients",
     "mode_amplitude",
+    "mode_echo",
     "mode_eigenvectors",
     "evolution_operator",
     "mode_amplitude_oracle",
@@ -105,6 +110,27 @@ def mode_amplitude(coeffs: ModeCoefficients, t):
     phase = np.asarray(coeffs.eps_post) * np.asarray(t, dtype=float)
     out = np.cos(phase) + 1j * np.asarray(coeffs.imbalance) * np.sin(phase)
     return complex(out) if np.ndim(out) == 0 else out
+
+
+def mode_echo(imbalance, eps_post, t):
+    """Per-mode Loschmidt echo |G_k(t)|^2 = cos^2(eps' t) + A^2 sin^2(eps' t).
+
+    Taken as (1 + (A tan)^2) / (1 + tan^2): positive terms only, so no
+    cancellation near a zero of the echo, and one vectorized tangent costs a
+    fraction of a sine plus a cosine.  Broadcasts over its arguments and
+    works in place on two buffers, since a rate quadrature's time-block
+    temporaries are its bulk cost.  With A replaced by cos(2 delta_theta)
+    it is the null-work probability of null_work_decomposition.
+    """
+    v = np.asarray(np.multiply(eps_post, t, dtype=float))
+    np.tan(v, out=v)
+    s = imbalance * v
+    s *= s
+    s += 1.0
+    v *= v
+    v += 1.0
+    np.divide(s, v, out=v)
+    return float(v) if v.ndim == 0 else v
 
 
 def mode_eigenvectors(k: float, lam: float):

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criticality import imbalance_roots
-from .mode_dynamics import mode_coefficients
-from .model import QuenchProtocol, dispersion, mode_grid
+from .criticality import critical_times, imbalance_roots
+from .mode_dynamics import mode_coefficients, mode_echo
+from .model import QuenchProtocol, dispersion, mode_grid  # noqa: F401 (traced by perfbench)
 
 __all__ = [
     "RateSeries",
@@ -82,19 +82,8 @@ _BLOCK_BYTES = 1 << 18  # size of one (time x panel x node) temporary
 
 
 def _log_echo_values(imbalance, eps_post, t):
-    # -(1/pi) ln|G_k(t)| from per-node (A, eps') data; nonnegative since |G| <= 1.
-    # |G|^2 = cos^2 + A^2 sin^2 = (1 + (A tan)^2) / (1 + tan^2): positive terms
-    # only, so no cancellation at the spike, and one vectorized tangent costs
-    # a fraction of a sine plus a cosine.  In place on two buffers, since a
-    # time block's temporaries are its bulk cost.
-    v = eps_post * t
-    np.tan(v, out=v)
-    s = imbalance * v
-    s *= s
-    s += 1.0
-    v *= v
-    v += 1.0
-    np.divide(s, v, out=v)
+    # -(1/pi) ln|G_k(t)| from per-node (A, eps') data; nonnegative since |G| <= 1
+    v = mode_echo(imbalance, eps_post, t)
     np.log(v, out=v)
     np.negative(v, out=v)
     v /= 2.0 * math.pi
@@ -145,7 +134,7 @@ class _RateQuad:
     """
 
     def __init__(self, protocol: QuenchProtocol, tol: float = 1e-8):
-        if tol <= 0.0:
+        if not tol > 0.0:
             raise ValueError(f"tol must be positive, got {tol!r}")
         self.protocol = protocol
         self.tol = float(tol)
@@ -303,17 +292,11 @@ def _finite_rate_from_mode_echoes(mode_echoes, n_sites: int) -> float:
     return float(-np.sum(np.log(mode_echoes)) / n_sites)
 
 
-def _mode_echoes(coeffs, t: float):
-    ph = np.asarray(coeffs.eps_post) * t
-    c = np.cos(ph)
-    s = np.sin(ph)
-    return c * c + (np.asarray(coeffs.imbalance) * s) ** 2
-
-
 def rate_function_finite(protocol: QuenchProtocol, n_sites: int, t) -> float:
     """Rate of an N-site chain: -(1/N) sum of per-mode log echoes."""
     coeffs = mode_coefficients(protocol, mode_grid(n_sites).momenta)
-    return _finite_rate_from_mode_echoes(_mode_echoes(coeffs, float(t)), n_sites)
+    echoes = mode_echo(coeffs.imbalance, coeffs.eps_post, float(t))
+    return _finite_rate_from_mode_echoes(echoes, n_sites)
 
 
 def compute_rate_series_finite(
@@ -323,7 +306,8 @@ def compute_rate_series_finite(
     coeffs = mode_coefficients(protocol, mode_grid(n_sites).momenta)
     values = np.empty(times.size)
     for i, t in enumerate(times):
-        values[i] = _finite_rate_from_mode_echoes(_mode_echoes(coeffs, float(t)), n_sites)
+        echoes = mode_echo(coeffs.imbalance, coeffs.eps_post, float(t))
+        values[i] = _finite_rate_from_mode_echoes(echoes, n_sites)
     return RateSeries(times=times, values=values, method="finite_N", protocol=protocol)
 
 
@@ -332,7 +316,7 @@ def critical_rate_function(protocol: QuenchProtocol, k_star: float, t):
     if not 0.0 < k_star < math.pi:
         raise ValueError(f"k_star must lie in (0, pi), got {k_star!r}")
     coeffs = mode_coefficients(protocol, float(k_star))
-    echo = _mode_echoes(coeffs, np.asarray(t, dtype=float))
+    echo = mode_echo(coeffs.imbalance, coeffs.eps_post, t)
     with np.errstate(divide="ignore"):
         out = -np.log(echo)
     return float(out) if np.ndim(out) == 0 else out
@@ -387,17 +371,12 @@ def _phase_samples(protocol, t, k, gauge_offset):
 
 
 def _nearest_critical_time(protocol, t):
-    best = None
+    # the rung (2n+1) t*_0 of any critical mode's ladder closest to t
+    rungs = []
     for r in imbalance_roots(protocol):
-        eps = dispersion(r, protocol.lambda_post, protocol.coupling)
-        n = max(0, round(t * eps / math.pi - 0.5))
-        for m in (n - 1, n, n + 1):
-            if m < 0:
-                continue
-            ts = (2 * m + 1) * math.pi / (2.0 * eps)
-            if best is None or abs(ts - t) < abs(best - t):
-                best = ts
-    return best
+        t0 = float(critical_times(protocol, r, 0)[0])
+        rungs.append((2 * max(0, round((t / t0 - 1.0) / 2.0)) + 1) * t0)
+    return min(rungs, key=lambda ts: abs(ts - t), default=None)
 
 
 def phase_profile(
@@ -417,6 +396,8 @@ def phase_profile(
     if k_resolution < 64:
         raise ValueError(f"k_resolution must be >= 64, got {k_resolution!r}")
     t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     k = np.linspace(K_EPS, math.pi - K_EPS, int(k_resolution))
     wrapped, dynamical = _phase_samples(protocol, t, k, gauge_offset)
     rounds = 0

@@ -104,6 +104,9 @@ class TestValidation:
             ["--beta", "0"],
             ["--jobs", "0"],
             ["--n-max", "-1"],
+            ["--tol", "nan"],
+            ["--t-max", "inf"],
+            ["--t-min", "-inf"],
         ],
     )
     def test_bad_values_exit_2_without_output(self, tmp_path, flags):

@@ -206,8 +206,9 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"unknown task {cfg.task!r}")
     if cfg.variant not in ("sinh", "tanh"):
         raise ConfigError(f"variant must be sinh or tanh, got {cfg.variant!r}")
-    if cfg.steps < 2:
-        raise ConfigError(f"steps must be >= 2, got {cfg.steps}")
+    min_steps = 5 if cfg.task == "sweep" else 2  # a sweep's cusp detection needs 5
+    if cfg.steps < min_steps:
+        raise ConfigError(f"steps must be >= {min_steps}, got {cfg.steps}")
     if not -math.inf < cfg.t_min < cfg.t_max < math.inf:
         raise ConfigError(f"need finite t_min < t_max, got [{cfg.t_min}, {cfg.t_max}]")
     if not 0.0 < cfg.tol < math.inf:
@@ -407,9 +408,8 @@ def _task_winding(cfg, warnings):
             failures += 1
             warnings.append(f"sample t={_fmt(t)} skipped: {exc}")
             continue
-        nu = (prof.geometric_phase[-1] - prof.geometric_phase[0]) / math.tau
         refinements += prof.refinements
-        rows.append((_fmt(t), _fmt(nu), str(prof.refinements)))
+        rows.append((_fmt(t), _fmt(prof.winding), str(prof.refinements)))
     diag = [
         ("winding.refinements_total", refinements),
         ("winding.failed_samples", failures),
@@ -549,8 +549,9 @@ def _run_sweep(cfg: RunConfig) -> int:
             raise ConfigError(f"cell {_cell_name(beta, phi, lambda_post)}: {exc}") from None
         payloads.append((cell_cfg, os.path.join(out_dir, _cell_name(beta, phi, lambda_post))))
 
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    workers = min(cfg.jobs, len(payloads))  # a pool forks all its workers up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, payloads))
     else:
         results = [_sweep_cell(p) for p in payloads]

@@ -5,6 +5,11 @@ initial state; they differ in whether the imbalance equation carries a
 sinh or a tanh of beta*eps.  Only the sinh form is consistent with the
 weights and the Fisher-zero line, so it is the default, but both are
 implemented so the disagreement can be inspected (see variant_report).
+
+Winding jumps follow in closed form: near a root k* of the imbalance A and
+a rung t*_n of its ladder the amplitude G ~ (-1)^n [-eps' (t - t*) +
+(k - k*) (i A'(k*) - t* d eps'/dk)] passes 0 on opposite sides before and
+after t*, so the winding number steps by -sign A'(k*) at every rung.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import QuenchProtocol, dispersion
+from .model import K_EPS, QuenchProtocol, dispersion
 from .mode_dynamics import boundary_partition, mode_coefficients
 
 __all__ = [
@@ -31,7 +36,6 @@ __all__ = [
 
 VARIANTS = ("sinh", "tanh")
 
-_K_EDGE = 1e-9  # momenta are sampled strictly inside (0, pi)
 _BISECT_TOL = 1e-12
 
 
@@ -40,8 +44,8 @@ class CriticalSet:
     """Critical momenta with their time ladders and winding-jump signs.
 
     modes is ascending; times[i] is the ladder for modes[i]; jump_signs[i]
-    is +1 or -1 (None when jump measurement was skipped); residuals[i] is
-    the variant equation's value at the returned root.
+    is the winding jump, +1 or -1, at each of its rungs (None when not
+    asked for); residuals[i] is the variant equation's value at the root.
     """
 
     modes: np.ndarray
@@ -108,8 +112,8 @@ def _scan_nodes(n_panels: int, shift: float = 0.0) -> np.ndarray:
     interior = np.linspace(0.0, math.pi, n_panels + 1)[1:-1]
     if shift:
         interior = interior + shift * (math.pi / n_panels)
-    lead = np.geomspace(_K_EDGE, interior[0], 48, endpoint=False)
-    tail = math.pi - np.geomspace(_K_EDGE, math.pi - interior[-1], 48, endpoint=False)
+    lead = np.geomspace(K_EPS, interior[0], 48, endpoint=False)
+    tail = math.pi - np.geomspace(K_EPS, math.pi - interior[-1], 48, endpoint=False)
     return np.concatenate([lead, interior, np.sort(tail)])
 
 
@@ -154,6 +158,17 @@ def imbalance_roots(protocol: QuenchProtocol, n_panels: int = 4096) -> np.ndarra
     return _scan_for_roots(lambda k: _variant_residual(protocol, k, "sinh"), n_panels)
 
 
+def _ladder(n, eps):
+    # rung n of a mode's critical times, and Im z of its Fisher branch n
+    return (2.0 * n + 1.0) * math.pi / (2.0 * eps)
+
+
+def _straddle(protocol: QuenchProtocol, k_star: float, variant: str):
+    # the variant's residual just left and just right of k_star
+    h = min(1e-6, 0.5 * k_star, 0.5 * (math.pi - k_star))
+    return tuple(float(_variant_residual(protocol, k, variant)) for k in (k_star - h, k_star + h))
+
+
 def critical_times(protocol: QuenchProtocol, k_star: float, n_max: int) -> np.ndarray:
     """Ladder (2n+1)*pi/(2*eps_post(k_star)) for n = 0..n_max."""
     if not 0.0 < k_star < math.pi:
@@ -161,17 +176,7 @@ def critical_times(protocol: QuenchProtocol, k_star: float, n_max: int) -> np.nd
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max!r}")
     eps = dispersion(k_star, protocol.lambda_post, protocol.coupling)
-    n = np.arange(n_max + 1)
-    return (2.0 * n + 1.0) * math.pi / (2.0 * eps)
-
-
-def _measure_jump_sign(protocol: QuenchProtocol, t_star: float) -> int:
-    # winding number just after minus just before, at 0.1% relative offset
-    from . import observables  # deferred: observables imports this module
-
-    before = observables.winding_number(protocol, t_star * (1.0 - 1e-3))
-    after = observables.winding_number(protocol, t_star * (1.0 + 1e-3))
-    return 1 if after - before > 0.0 else -1
+    return _ladder(np.arange(n_max + 1), eps)
 
 
 def critical_modes(
@@ -184,24 +189,21 @@ def critical_modes(
     """Find the critical momenta of the chosen condition variant.
 
     An empty mode list is a valid outcome (no sign change anywhere means no
-    dynamical transition).  Jump signs are measured empirically from the
-    winding number across each mode's first critical time; pass
-    with_jump_signs=False to skip that (much cheaper).
+    dynamical transition).  A mode's jump sign is -sign of the residual's
+    slope at the root (see the module docstring): for sinh the winding jump
+    at every rung of its ladder; for tanh what that condition predicts.
+    with_jump_signs=False leaves them None.
     """
     _check_variant(variant)
-    roots = _scan_for_roots(
-        lambda k: _variant_residual(protocol, k, variant), n_panels
-    )
-    residuals = np.asarray(
-        [float(_variant_residual(protocol, r, variant)) for r in roots]
-    )
-    ladders = [critical_times(protocol, r, n_max) for r in roots]
+    roots = _scan_for_roots(lambda k: _variant_residual(protocol, k, variant), n_panels)
+    residuals = np.asarray([float(_variant_residual(protocol, r, variant)) for r in roots])
     signs: list = [None] * len(roots)
     if with_jump_signs:
-        signs = [_measure_jump_sign(protocol, ladder[0]) for ladder in ladders]
+        straddles = [_straddle(protocol, float(r), variant) for r in roots]
+        signs = [1 if left > right else -1 for left, right in straddles]
     return CriticalSet(
         modes=roots,
-        times=ladders,
+        times=[critical_times(protocol, r, n_max) for r in roots],
         jump_signs=signs,
         residuals=residuals,
         condition_variant=variant,
@@ -228,7 +230,7 @@ def fisher_zero_line(protocol: QuenchProtocol, branch_n: int, k_samples) -> Fish
     wm = coeffs.weight_minus[ok]
     eps = coeffs.eps_post[ok]
     re = (np.log(wp) - np.log(wm)) / (2.0 * eps)
-    im = (2.0 * branch_n + 1.0) * math.pi / (2.0 * eps)
+    im = _ladder(branch_n, eps)
     return FisherLine(
         branch=int(branch_n),
         momenta=k_samples[ok],
@@ -240,9 +242,7 @@ def fisher_zero_line(protocol: QuenchProtocol, branch_n: int, k_samples) -> Fish
 
 def _sign_change_at(protocol: QuenchProtocol, k_star: float) -> bool:
     # the line's Re z changes sign across k_star iff the imbalance does
-    h = min(1e-6, 0.5 * k_star, 0.5 * (math.pi - k_star))
-    left = float(_variant_residual(protocol, k_star - h, "sinh"))
-    right = float(_variant_residual(protocol, k_star + h, "sinh"))
+    left, right = _straddle(protocol, k_star, "sinh")
     return (left < 0.0) != (right < 0.0)
 
 
@@ -256,15 +256,13 @@ def variant_report(protocol: QuenchProtocol, n_panels: int = 4096) -> VariantRep
     rows = []
     for variant in VARIANTS:
         other = "tanh" if variant == "sinh" else "sinh"
-        roots = _scan_for_roots(
-            lambda k: _variant_residual(protocol, k, variant), n_panels
-        )
-        for r in roots:
+        cs = critical_modes(protocol, variant, 0, with_jump_signs=False, n_panels=n_panels)
+        for r, residual in zip(cs.modes, cs.residuals):
             rows.append(
                 VariantRow(
                     variant=variant,
                     k_star=float(r),
-                    residual=float(_variant_residual(protocol, r, variant)),
+                    residual=float(residual),
                     residual_other=float(_variant_residual(protocol, r, other)),
                     fisher_confirmed=_sign_change_at(protocol, float(r)),
                 )

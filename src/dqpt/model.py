@@ -24,6 +24,8 @@ __all__ = [
     "delta_theta",
 ]
 
+K_EPS = 1e-9  # sampled momenta stay this far inside the open zone (0, pi)
+
 
 def _wrap_phase(phi: float) -> float:
     # reduce to (-pi, pi]; math.remainder lands in [-pi, pi]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .criticality import critical_times, imbalance_roots
 from .mode_dynamics import mode_coefficients, mode_echo
-from .model import QuenchProtocol, dispersion, mode_grid  # noqa: F401 (traced by perfbench)
+from .model import K_EPS, QuenchProtocol, dispersion, mode_grid  # noqa: F401 (traced by perfbench)
 
 __all__ = [
     "RateSeries",
@@ -33,8 +33,6 @@ __all__ = [
     "detect_cusps",
     "K_EPS",
 ]
-
-K_EPS = 1e-9  # momentum grids stop this far short of 0 and pi
 
 _RATE_METHODS = ("quadrature", "finite_N")
 
@@ -359,6 +357,11 @@ class PhaseProfile:
     refinements: int
     protocol: QuenchProtocol
 
+    @property
+    def winding(self) -> float:
+        """Geometric-phase winding across the zone, in units of 2 pi."""
+        return float((self.geometric_phase[-1] - self.geometric_phase[0]) / math.tau)
+
 
 def _phase_samples(protocol, t, k, gauge_offset):
     coeffs = mode_coefficients(protocol, k)
@@ -444,14 +447,10 @@ def phase_profile(
 
 
 def winding_number(
-    protocol: QuenchProtocol,
-    t,
-    k_resolution: int = 256,
-    gauge_offset: float = 0.0,
+    protocol: QuenchProtocol, t, k_resolution: int = 256, gauge_offset: float = 0.0
 ) -> float:
-    """Geometric-phase winding across the zone, in units of 2 pi."""
-    prof = phase_profile(protocol, t, k_resolution, gauge_offset)
-    return float((prof.geometric_phase[-1] - prof.geometric_phase[0]) / math.tau)
+    """PhaseProfile.winding of the profile at time t."""
+    return phase_profile(protocol, t, k_resolution, gauge_offset).winding
 
 
 # ---------------------------------------------------------------------------

@@ -357,3 +357,50 @@ class TestSweepTask:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         manifest = dict(RunManifest.from_text((out / "sweep.manifest").read_text()).entries)
         assert manifest["config.jobs"] == "2"
+
+
+@pytest.mark.parametrize("steps", ["2", "3", "4"])
+def test_sweep_with_too_few_steps_for_cusp_detection_exits_2(tmp_path, steps):
+    out = tmp_path / "short"
+    rc = main(["sweep", "--beta", "0.1", "--steps", steps, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_sweep_with_five_steps_runs(tmp_path):
+    out = tmp_path / "five"
+    assert main(["sweep", "--beta", "0.1", "--steps", "5", "--out", str(out)]) == 0
+    assert (out / "index.csv").exists()
+
+
+class _FakePool:
+    """ProcessPoolExecutor stand-in that records max_workers and maps inline."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cells,expected", [("10, 0.1", [2]), ("0.1", [])])
+def test_sweep_pool_never_exceeds_the_cell_count(tmp_path, monkeypatch, cells, expected):
+    import dqpt.cli
+
+    monkeypatch.setattr(_FakePool, "created", [])
+    monkeypatch.setattr(dqpt.cli, "ProcessPoolExecutor", _FakePool)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"beta_list = {cells}\nsteps = 11\n", encoding="utf-8")
+    out = tmp_path / "pooled"
+    assert main(["sweep", "--config", str(cfg), "--jobs", "64", "--out", str(out)]) == 0
+    assert _FakePool.created == expected
+    _, rows = read_rows(out / "index.csv")
+    assert len(rows) == len(cells.split(","))

@@ -378,10 +378,10 @@ def _task_zeros(cfg, warnings):
     worst = 0.0
     for n in cfg.branches:
         line = fisher_zero_line(protocol, n, k)
-        for km, z in zip(line.momenta, line.zeros):
-            res = abs(boundary_partition(mode_coefficients(protocol, float(km)), z))
-            worst = max(worst, res)
-            rows.append((_fmt(int(n)), _fmt(km), _fmt(z.real), _fmt(z.imag), _fmt(res)))
+        res = np.abs(boundary_partition(mode_coefficients(protocol, line.momenta), line.zeros))
+        worst = float(res.max(initial=worst))
+        for km, z, r in zip(line.momenta, line.zeros, res):
+            rows.append((_fmt(int(n)), _fmt(km), _fmt(z.real), _fmt(z.imag), _fmt(r)))
         for km in line.skipped:
             warnings.append(f"branch {n}: sample k={_fmt(km)} skipped (vanishing weight)")
     diag = [("zeros.max_residual", worst)]

@@ -3,7 +3,10 @@
 The closed forms in this module are what the rest of the package consumes.
 mode_echo is the one formula for the per-mode Loschmidt echo |G_k(t)|^2:
 the quadrature and finite-N rate functions, the single-mode critical rate
-and the echo-decomposition task all take it from there.  The matrix
+and the echo-decomposition task all take it from there.  mode_coefficients
+takes the energies and angles of model's dispersion and bogoliubov_angle
+from one cos k, one sin k and one hypot per field, and boundary_partition
+evaluates a whole Fisher-zero branch in one array call.  The matrix
 routines (eigenvectors, Pauli-rotation propagator, mode_amplitude_oracle,
 null_work_decomposition) are an independent route kept deliberately free
 of the trigonometric shortcuts, so the two can be checked against each
@@ -18,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import QuenchProtocol, delta_theta, dispersion
+from .model import QuenchProtocol, _field_terms, _mixing_angle, dispersion
+from .model import delta_theta  # noqa: F401 (traced by perfbench)
 
 __all__ = [
     "ModeCoefficients",
@@ -59,9 +63,18 @@ def mode_coefficients(protocol: QuenchProtocol, k) -> ModeCoefficients:
     exponential is taken, so every beta up to and including math.inf stays
     in range and the ground-state limit is exact.
     """
-    eps_pre = np.asarray(dispersion(k, protocol.lambda_pre, protocol.coupling))
-    eps_post = np.asarray(dispersion(k, protocol.lambda_post, protocol.coupling))
-    dth = np.asarray(delta_theta(k, protocol))
+    # the formulas of dispersion and delta_theta on one cos k and sin k;
+    # each field's terms are dropped before the next field's are made
+    cos_k = np.cos(k)
+    sin_k = np.sin(k)
+    d, h = _field_terms(cos_k, sin_k, protocol.lambda_pre)
+    eps_pre = np.asarray(protocol.coupling * h)
+    theta_pre = _mixing_angle(d, h, sin_k, protocol.lambda_pre)
+    del d, h
+    d, h = _field_terms(cos_k, sin_k, protocol.lambda_post)
+    eps_post = np.asarray(protocol.coupling * h)
+    dth = np.asarray(theta_pre - _mixing_angle(d, h, sin_k, protocol.lambda_post))
+    del d, h, cos_k, sin_k, theta_pre
 
     x = protocol.beta * eps_pre
     em = np.exp(-x)  # exp(-inf) == 0 exactly
@@ -189,23 +202,23 @@ def mode_amplitude_oracle(protocol: QuenchProtocol, k: float, t: float) -> compl
     return complex(np.vdot(psi, u @ psi))
 
 
-def boundary_partition(coeffs: ModeCoefficients, z) -> complex:
+def boundary_partition(coeffs: ModeCoefficients, z):
     """Per-mode boundary partition factor at complex time z.
 
-    exp(-z*eps_post)*weight_plus + exp(+z*eps_post)*weight_minus for scalar
-    coefficients.  At z = i t this reproduces mode_amplitude.  Raises
-    OverflowError once |Re z| * eps_post exceeds 700, the double exp range.
+    exp(-z*eps_post)*weight_plus + exp(+z*eps_post)*weight_minus, broadcast
+    over the coefficient arrays and z; a 0-d result is returned as complex.
+    At z = i t this reproduces mode_amplitude.  Raises OverflowError if any
+    |Re z| * eps_post exceeds 700, the double exp range, naming the first.
     """
-    z = complex(z)
-    eps = float(coeffs.eps_post)
-    if abs(z.real) * eps > 700.0:
-        raise OverflowError(
-            f"boundary partition out of range: |Re z|*eps = {abs(z.real) * eps:.3g} > 700"
-        )
+    z = np.asarray(z, dtype=complex)
+    eps = np.asarray(coeffs.eps_post, dtype=float)
+    edge = np.abs(z.real) * eps
+    over = edge[edge > 700.0]
+    if over.size:
+        raise OverflowError(f"boundary partition out of range: |Re z|*eps = {over[0]:.3g} > 700")
     ze = z * eps
-    return cmath.exp(-ze) * float(coeffs.weight_plus) + cmath.exp(ze) * float(
-        coeffs.weight_minus
-    )
+    out = np.exp(-ze) * coeffs.weight_plus + np.exp(ze) * coeffs.weight_minus
+    return complex(out) if out.ndim == 0 else out
 
 
 def null_work_decomposition(protocol: QuenchProtocol, k: float, t: float):

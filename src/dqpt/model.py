@@ -102,7 +102,7 @@ def dispersion(k, lam, coupling: float = 1.0):
     Accepts scalars or arrays.  Exact at the band edges: k=0 gives
     coupling*|lam - 1| and k=pi gives coupling*(lam + 1).
     """
-    out = coupling * np.hypot(lam - np.cos(k), np.sin(k))
+    out = coupling * _field_terms(np.cos(k), np.sin(k), lam)[1]
     return out.item() if np.ndim(out) == 0 else out
 
 
@@ -115,21 +115,35 @@ def bogoliubov_angle(k, lam):
     real and the sign convention gives 0 or pi; it vanishes when lam >= 1,
     where no angle exists and a ValueError is raised.
     """
-    d = lam - np.cos(k)
-    eps = np.hypot(d, np.sin(k))
-    im = np.sin(k)
+    sin_k = np.sin(k)
+    d, eps = _field_terms(np.cos(k), sin_k, lam)
+    out = _mixing_angle(d, eps, sin_k, lam)
+    return out.item() if np.ndim(out) == 0 else out
+
+
+def _field_terms(cos_k, sin_k, lam):
+    """(lam - cos k, hypot(lam - cos k, sin k)) from precomputed cos k, sin k.
+
+    The coupling-free field offset and dispersion that dispersion,
+    bogoliubov_angle and mode_coefficients share.
+    """
+    d = lam - cos_k
+    return d, np.hypot(d, sin_k)
+
+
+def _mixing_angle(d, eps, sin_k, lam):
+    """Principal mixing angle from the terms of _field_terms; array out."""
     # d - eps cancels catastrophically near k = 0 when d > 0; the conjugate
     # form -sin^2 k / (d + eps) is exact algebra and fully conditioned there.
     # For d <= 0 both terms of d - eps have the same sign, so it is kept.
     with np.errstate(invalid="ignore", divide="ignore"):
-        re = np.where(d > 0.0, -(im * im) / (d + eps), d - eps)
-    if np.any((re == 0.0) & (im == 0.0)):
+        re = np.where(d > 0.0, -(sin_k * sin_k) / (d + eps), d - eps)
+    if np.any((re == 0.0) & (sin_k == 0.0)):
         raise ValueError(
             "mixing angle undefined: defining complex number vanishes "
             f"(k=0 with field {lam!r} >= 1)"
         )
-    out = np.arctan2(im, re)
-    return out.item() if np.ndim(out) == 0 else out
+    return np.arctan2(sin_k, re)
 
 
 def delta_theta(k, protocol: QuenchProtocol):

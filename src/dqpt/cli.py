@@ -31,6 +31,7 @@ from .mode_dynamics import (  # noqa: F401 (perfbench traces null_work_decomposi
 )
 from .model import QuenchProtocol, mode_grid
 from .observables import (
+    _BLOCK_BYTES,
     K_EPS,
     UnwrapError,
     compute_rate_series,
@@ -282,11 +283,13 @@ def _atomic_open(path: str):
         raise
 
 
-def _write_csv(path: str, header, rows):
+def _write_csv(path: str, header, rows) -> int:
+    count = 0
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
+        for count, row in enumerate(rows, 1):
             fh.write(",".join(row) + "\n")
+    return count
 
 
 def _write_manifest(path: str, cfg: RunConfig, started: float, entries, warnings=(), tail=()):
@@ -312,7 +315,7 @@ def _write_manifest(path: str, cfg: RunConfig, started: float, entries, warnings
 
 
 # ---------------------------------------------------------------------------
-# task handlers: each returns (header, rows, diagnostics, degraded)
+# task handlers: each returns (header, rows, diagnostics, degraded); rows may be a generator
 
 _RATE_HEADER = ("t", "r", "err_bound", "singular_flag")
 
@@ -359,14 +362,12 @@ def _task_rate(cfg, warnings):
 
 def _task_rate_finite(cfg, warnings):
     series = compute_rate_series_finite(_protocol(cfg), cfg.n_sites, _times(cfg))
-    rows = []
-    singular = 0
-    for t, r in zip(series.times, series.values):
-        bad = not math.isfinite(r)
-        singular += bad
-        rows.append((_fmt(t), _fmt(r), "1" if bad else "0"))
+    finite = np.isfinite(series.values).tolist()
+    singular = finite.count(False)
     if singular:
         warnings.append(f"{singular} finite-size samples hit an exact amplitude zero")
+    columns = zip(series.times.tolist(), series.values.tolist(), finite)
+    rows = (("%.17g" % t, "%.17g" % r, "0" if ok else "1") for t, r, ok in columns)
     diag = [("rate_finite.singular_rows", singular)]
     return ("t", "r", "singular_flag"), rows, diag, singular > 0
 
@@ -421,18 +422,25 @@ def _task_echo_decomposition(cfg, warnings):
     momenta = mode_grid(cfg.n_sites).momenta
     coeffs = mode_coefficients(_protocol(cfg), momenta)
     times = _times(cfg)
-    # (time x mode); the null-work probability cos^2 + sin^2 cos^2(2 dtheta)
-    # is the echo with the imbalance replaced by cos(2 dtheta)
-    echo = mode_echo(coeffs.imbalance, coeffs.eps_post, times[:, None])
-    null = mode_echo(np.cos(2.0 * coeffs.delta_theta), coeffs.eps_post, times[:, None])
-    k_text = [_fmt(k) for k in momenta.tolist()]
-    rows = []
-    for t, echo_t, null_t in zip(times.tolist(), echo, null):
-        t_text = _fmt(t)
-        columns = zip(k_text, echo_t.tolist(), null_t.tolist(), (echo_t - null_t).tolist())
-        rows.extend((t_text, k, _fmt(e), _fmt(n), _fmt(i)) for k, e, n, i in columns)
-    diag = [("echo.rows", len(rows))]
-    return ("t", "k", "echo", "null_work", "interference"), rows, diag, False
+    # the null-work probability cos^2 + sin^2 cos^2(2 dtheta) is the echo
+    # with the imbalance replaced by cos(2 dtheta)
+    null_imbalance = np.cos(2.0 * coeffs.delta_theta)
+    block = max(1, _BLOCK_BYTES // momenta.nbytes)
+
+    def rows():  # (time block x mode) arrays, formatted one time at a time
+        k_text = ["%.17g" % k for k in momenta.tolist()]
+        for lo in range(0, times.size, block):
+            tb = times[lo : lo + block, None]
+            echo = mode_echo(coeffs.imbalance, coeffs.eps_post, tb)
+            null = mode_echo(null_imbalance, coeffs.eps_post, tb)
+            for t, echo_t, null_t in zip(tb[:, 0].tolist(), echo, null):
+                t_text = "%.17g" % t
+                columns = zip(k_text, echo_t.tolist(), null_t.tolist(), (echo_t - null_t).tolist())
+                for k, e, n, i in columns:
+                    yield t_text, k, "%.17g" % e, "%.17g" % n, "%.17g" % i
+
+    diag = [("echo.rows", times.size * momenta.size)]
+    return ("t", "k", "echo", "null_work", "interference"), rows(), diag, False
 
 
 def _task_variant_report(cfg, warnings):
@@ -468,8 +476,7 @@ def _run_task(cfg: RunConfig) -> int:
     out_path = cfg.out or cfg.task + ".csv"
     warnings: list = []
     header, rows, diag, degraded = _HANDLERS[cfg.task](cfg, warnings)
-    _write_csv(out_path, header, rows)
-    entries = [("output", out_path), ("rows", len(rows)), *diag]
+    entries = [("output", out_path), ("rows", _write_csv(out_path, header, rows)), *diag]
     tail = [("degraded", degraded)]
     _write_manifest(out_path + ".manifest", cfg, started, entries, warnings, tail)
     if degraded:
@@ -614,6 +621,9 @@ def main(argv=None) -> int:
         return _run_task(cfg)
     except ConfigError as exc:
         print(f"dqpt: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # the atomic writers have removed any partial output
+        print(f"dqpt: out of memory in {args.task}; reduce --steps or --n-sites", file=sys.stderr)
         return 2
 
 

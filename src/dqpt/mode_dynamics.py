@@ -94,25 +94,10 @@ def mode_coefficients(protocol: QuenchProtocol, k) -> ModeCoefficients:
     w_plus = np.maximum(w_plus, 0.0)
     w_minus = np.maximum(w_minus, 0.0)
 
+    fields = (eps_pre, eps_post, dth, imbalance, w_plus, w_minus)  # in ModeCoefficients order
     if np.ndim(k) == 0:
-        return ModeCoefficients(
-            k=float(k),
-            eps_pre=float(eps_pre),
-            eps_post=float(eps_post),
-            delta_theta=float(dth),
-            imbalance=float(imbalance),
-            weight_plus=float(w_plus),
-            weight_minus=float(w_minus),
-        )
-    return ModeCoefficients(
-        k=np.asarray(k, dtype=float),
-        eps_pre=eps_pre,
-        eps_post=eps_post,
-        delta_theta=dth,
-        imbalance=imbalance,
-        weight_plus=w_plus,
-        weight_minus=w_minus,
-    )
+        return ModeCoefficients(float(k), *map(float, fields))
+    return ModeCoefficients(np.asarray(k, dtype=float), *fields)
 
 
 def mode_amplitude(coeffs: ModeCoefficients, t):

@@ -278,34 +278,37 @@ def compute_rate_series(
 # ---------------------------------------------------------------------------
 # finite chains and single modes
 
-def _finite_rate_from_mode_echoes(mode_echoes, n_sites: int) -> float:
-    """Per-site rate from the per-mode squared amplitudes.
+def _finite_rate_from_mode_echoes(mode_echoes, n_sites: int):
+    """Per-site rate from the per-mode squared amplitudes, along the last axis.
 
-    An exact zero makes the log sum diverge; such a sample is returned as
-    math.inf so callers can flag it as singular.
+    An exact zero's -inf log makes its row math.inf, so callers can flag it
+    as singular.  1-d input gives a float.
     """
-    mode_echoes = np.asarray(mode_echoes)
-    if np.any(mode_echoes == 0.0):
-        return math.inf
-    return float(-np.sum(np.log(mode_echoes)) / n_sites)
+    with np.errstate(divide="ignore"):
+        logs = np.log(mode_echoes)
+    out = -np.sum(logs, axis=-1) / n_sites
+    return float(out) if out.ndim == 0 else out
 
 
 def rate_function_finite(protocol: QuenchProtocol, n_sites: int, t) -> float:
-    """Rate of an N-site chain: -(1/N) sum of per-mode log echoes."""
-    coeffs = mode_coefficients(protocol, mode_grid(n_sites).momenta)
-    echoes = mode_echo(coeffs.imbalance, coeffs.eps_post, float(t))
-    return _finite_rate_from_mode_echoes(echoes, n_sites)
+    """Rate of an N-site chain: -(1/N) sum of per-mode log echoes.
+
+    A time block of one through compute_rate_series_finite, so the two
+    agree bit for bit.
+    """
+    return float(compute_rate_series_finite(protocol, n_sites, [float(t)]).values[0])
 
 
-def compute_rate_series_finite(
-    protocol: QuenchProtocol, n_sites: int, times
-) -> RateSeries:
+def compute_rate_series_finite(protocol: QuenchProtocol, n_sites: int, times) -> RateSeries:
+    """rate_function_finite over a grid, in (time block x mode) arrays
+    sized like the quadrature's."""
     times = np.asarray(times, dtype=float)
     coeffs = mode_coefficients(protocol, mode_grid(n_sites).momenta)
+    block = max(1, _BLOCK_BYTES // coeffs.eps_post.nbytes)
     values = np.empty(times.size)
-    for i, t in enumerate(times):
-        echoes = mode_echo(coeffs.imbalance, coeffs.eps_post, float(t))
-        values[i] = _finite_rate_from_mode_echoes(echoes, n_sites)
+    for lo in range(0, times.size, block):
+        echoes = mode_echo(coeffs.imbalance, coeffs.eps_post, times[lo : lo + block, None])
+        values[lo : lo + block] = _finite_rate_from_mode_echoes(echoes, n_sites)
     return RateSeries(times=times, values=values, method="finite_N", protocol=protocol)
 
 
@@ -315,9 +318,7 @@ def critical_rate_function(protocol: QuenchProtocol, k_star: float, t):
         raise ValueError(f"k_star must lie in (0, pi), got {k_star!r}")
     coeffs = mode_coefficients(protocol, float(k_star))
     echo = mode_echo(coeffs.imbalance, coeffs.eps_post, t)
-    with np.errstate(divide="ignore"):
-        out = -np.log(echo)
-    return float(out) if np.ndim(out) == 0 else out
+    return _finite_rate_from_mode_echoes(np.expand_dims(echo, -1), 1)  # one mode, N = 1
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ from .mode_dynamics import (  # noqa: F401 (perfbench traces null_work_decomposi
 from .model import QuenchProtocol, mode_grid
 from .observables import (
     _BLOCK_BYTES,
-    K_EPS,
     UnwrapError,
+    _base_grid,
     compute_rate_series,
     compute_rate_series_finite,
     detect_cusps,
@@ -374,12 +374,13 @@ def _task_rate_finite(cfg, warnings):
 
 def _task_zeros(cfg, warnings):
     protocol = _protocol(cfg)
-    k = np.linspace(K_EPS, math.pi - K_EPS, cfg.k_resolution)
+    k = _base_grid(cfg.k_resolution)
+    coeffs = mode_coefficients(protocol, k)  # shared by every branch
     rows = []
     worst = 0.0
     for n in cfg.branches:
-        line = fisher_zero_line(protocol, n, k)
-        res = np.abs(boundary_partition(mode_coefficients(protocol, line.momenta), line.zeros))
+        line = fisher_zero_line(protocol, n, k, coeffs)
+        res = np.abs(boundary_partition(line.coefficients, line.zeros))
         worst = float(res.max(initial=worst))
         for km, z, r in zip(line.momenta, line.zeros, res):
             rows.append((_fmt(int(n)), _fmt(km), _fmt(z.real), _fmt(z.imag), _fmt(r)))
@@ -402,15 +403,15 @@ def _task_winding(cfg, warnings):
     rows = []
     failures = 0
     refinements = 0
-    for t in _times(cfg):
+    for t in _times(cfg).tolist():
         try:
-            prof = phase_profile(protocol, float(t), cfg.k_resolution)
+            prof = phase_profile(protocol, t, cfg.k_resolution)
         except UnwrapError as exc:
             failures += 1
             warnings.append(f"sample t={_fmt(t)} skipped: {exc}")
             continue
         refinements += prof.refinements
-        rows.append((_fmt(t), _fmt(prof.winding), str(prof.refinements)))
+        rows.append(("%.17g" % t, "%.17g" % prof.winding, str(prof.refinements)))
     diag = [
         ("winding.refinements_total", refinements),
         ("winding.failed_samples", failures),
@@ -537,7 +538,6 @@ def _run_sweep(cfg: RunConfig) -> int:
         )
 
     out_dir = cfg.out or "sweep_out"
-    os.makedirs(out_dir, exist_ok=True)
     payloads = []
     for beta, phi, lambda_post in cells:
         cell_cfg = dataclasses.replace(
@@ -555,6 +555,7 @@ def _run_sweep(cfg: RunConfig) -> int:
         except ValueError as exc:
             raise ConfigError(f"cell {_cell_name(beta, phi, lambda_post)}: {exc}") from None
         payloads.append((cell_cfg, os.path.join(out_dir, _cell_name(beta, phi, lambda_post))))
+    os.makedirs(out_dir, exist_ok=True)  # only once every cell is valid: exit 2 writes nothing
 
     workers = min(cfg.jobs, len(payloads))  # a pool forks all its workers up front
     if workers > 1:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import K_EPS, QuenchProtocol, dispersion
-from .mode_dynamics import boundary_partition, mode_coefficients
+from .mode_dynamics import ModeCoefficients, boundary_partition, mode_coefficients
 
 __all__ = [
     "CriticalSet",
@@ -65,6 +65,7 @@ class FisherLine:
     zeros: np.ndarray
     skipped: np.ndarray
     protocol: QuenchProtocol
+    coefficients: ModeCoefficients  # at momenta, the kept samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,25 +212,26 @@ def critical_modes(
     )
 
 
-def fisher_zero_line(protocol: QuenchProtocol, branch_n: int, k_samples) -> FisherLine:
+def fisher_zero_line(protocol: QuenchProtocol, branch_n: int, k_samples, coeffs=None) -> FisherLine:
     """Branch branch_n of the zero line z_n(k) in the complex-time plane.
 
     Re z = ln(weight_plus/weight_minus)/(2 eps_post) and Im z =
     (2n+1)pi/(2 eps_post).  Samples where either weight vanishes (possible
     only in degenerate ground-state limits) are skipped and reported in
-    ``skipped``.
+    ``skipped``.  coeffs, if given, must be mode_coefficients(protocol,
+    k_samples) for a 1-d k_samples; several branches can then share them.
     """
     k_samples = np.atleast_1d(np.asarray(k_samples, dtype=float))
     if k_samples.size == 0:
         raise ValueError("k_samples must be nonempty")
     if np.any((k_samples <= 0.0) | (k_samples >= math.pi)):
         raise ValueError("k_samples must lie strictly inside (0, pi)")
-    coeffs = mode_coefficients(protocol, k_samples)
+    if coeffs is None:
+        coeffs = mode_coefficients(protocol, k_samples)
     ok = (coeffs.weight_plus > 0.0) & (coeffs.weight_minus > 0.0)
-    wp = coeffs.weight_plus[ok]
-    wm = coeffs.weight_minus[ok]
-    eps = coeffs.eps_post[ok]
-    re = (np.log(wp) - np.log(wm)) / (2.0 * eps)
+    kept = ModeCoefficients(*(field[ok] for field in vars(coeffs).values()))
+    eps = kept.eps_post
+    re = (np.log(kept.weight_plus) - np.log(kept.weight_minus)) / (2.0 * eps)
     im = _ladder(branch_n, eps)
     return FisherLine(
         branch=int(branch_n),
@@ -237,6 +239,7 @@ def fisher_zero_line(protocol: QuenchProtocol, branch_n: int, k_samples) -> Fish
         zeros=re + 1j * im,
         skipped=k_samples[~ok],
         protocol=protocol,
+        coefficients=kept,
     )
 
 

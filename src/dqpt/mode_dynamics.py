@@ -80,16 +80,15 @@ def mode_coefficients(protocol: QuenchProtocol, k) -> ModeCoefficients:
     em = np.exp(-x)  # exp(-inf) == 0 exactly
     em2 = em * em
     denom = 1.0 + em2
-    sphi = math.sin(protocol.phi)
-
-    c2 = np.cos(2.0 * dth)
-    s2 = np.sin(2.0 * dth)
-    imbalance = c2 * np.tanh(x) + sphi * s2 * (2.0 * em / denom)
+    # sin(phi) sin(2 dtheta) and its product with e^{-x}, shared by three fields
+    coh = math.sin(protocol.phi) * np.sin(2.0 * dth)
+    coh_em = coh * em
+    imbalance = np.cos(2.0 * dth) * np.tanh(x) + coh * (2.0 * em / denom)
 
     ch = np.cos(dth)
     sh = np.sin(dth)
-    w_plus = (em2 * ch * ch + sh * sh - sphi * s2 * em) / denom
-    w_minus = (em2 * sh * sh + ch * ch + sphi * s2 * em) / denom
+    w_plus = (em2 * ch * ch + sh * sh - coh_em) / denom
+    w_minus = (em2 * sh * sh + ch * ch + coh_em) / denom
     # exact values are squares, but roundoff can graze below zero at phi = +-pi/2
     w_plus = np.maximum(w_plus, 0.0)
     w_minus = np.maximum(w_minus, 0.0)

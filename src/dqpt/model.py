@@ -135,10 +135,10 @@ def _mixing_angle(d, eps, sin_k, lam):
     """Principal mixing angle from the terms of _field_terms; array out."""
     # d - eps cancels catastrophically near k = 0 when d > 0; the conjugate
     # form -sin^2 k / (d + eps) is exact algebra and fully conditioned there.
-    # For d <= 0 both terms of d - eps have the same sign, so it is kept.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        re = np.where(d > 0.0, -(sin_k * sin_k) / (d + eps), d - eps)
-    if np.any((re == 0.0) & (sin_k == 0.0)):
+    # For d <= 0 both terms of d - eps have the same sign; keep it, form no quotient.
+    re = np.asarray(d - eps)
+    np.divide(-(sin_k * sin_k), d + eps, out=re, where=d > 0.0)
+    if not sin_k.all() and np.any((re == 0.0) & (sin_k == 0.0)):
         raise ValueError(
             "mixing angle undefined: defining complex number vanishes "
             f"(k=0 with field {lam!r} >= 1)"

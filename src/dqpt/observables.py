@@ -9,6 +9,7 @@ an unresolvable jump is how a critical (k, t) pair announces itself.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -374,6 +375,13 @@ def _phase_samples(protocol, t, k, gauge_offset):
     return wrapped, dynamical
 
 
+@functools.lru_cache(maxsize=4)  # shared read-only; phase_profile hands out copies
+def _base_grid(k_resolution: int) -> np.ndarray:
+    k = np.linspace(K_EPS, math.pi - K_EPS, k_resolution)
+    k.flags.writeable = False
+    return k
+
+
 def _nearest_critical_time(protocol, t):
     # the rung (2n+1) t*_0 of any critical mode's ladder closest to t
     rungs = []
@@ -402,19 +410,17 @@ def phase_profile(
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    k = np.linspace(K_EPS, math.pi - K_EPS, int(k_resolution))
+    k = _base_grid(int(k_resolution))
     wrapped, dynamical = _phase_samples(protocol, t, k, gauge_offset)
     rounds = 0
     added = 0
     while True:
-        d_tot = np.mod(np.diff(wrapped) + math.pi, math.tau) - math.pi
-        d_dyn = np.diff(dynamical)
-        d_geo = d_tot - d_dyn
-        bad = (
-            (np.abs(d_tot) >= _JUMP_LIMIT)
-            | (np.abs(d_dyn) >= _JUMP_LIMIT)
-            | (np.abs(d_geo) >= _JUMP_LIMIT)
-        )
+        d_tot = np.mod(wrapped[1:] - wrapped[:-1] + math.pi, math.tau) - math.pi
+        d_dyn = dynamical[1:] - dynamical[:-1]
+        # largest of the three jumps per gap; fmax skips NaN as three >= tests did
+        jump = np.fmax(np.abs(d_tot), np.abs(d_dyn))
+        np.fmax(jump, np.abs(d_tot - d_dyn), out=jump)
+        bad = jump >= _JUMP_LIMIT
         if not bad.any():
             break
         if rounds >= _MAX_UNWRAP_ROUNDS:
@@ -434,10 +440,10 @@ def phase_profile(
         dynamical = dynamical[order]
         rounds += 1
         added += mids.size
-    total = np.concatenate([[wrapped[0]], wrapped[0] + np.cumsum(d_tot)])
+    total = np.concatenate([[wrapped[0]], wrapped[0] + d_tot.cumsum()])
     geometric = total - dynamical
     return PhaseProfile(
-        k_samples=k,
+        k_samples=k if added else k.copy(),  # never the shared base grid
         total_phase=total,
         dynamical_phase=dynamical,
         geometric_phase=geometric,

@@ -404,3 +404,29 @@ def test_sweep_pool_never_exceeds_the_cell_count(tmp_path, monkeypatch, cells, e
     assert _FakePool.created == expected
     _, rows = read_rows(out / "index.csv")
     assert len(rows) == len(cells.split(","))
+
+
+def test_sweep_with_an_invalid_cell_exits_2_and_writes_nothing(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("beta_list = 1, -1\nsteps = 11\n", encoding="utf-8")
+    out = tmp_path / "never"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_zeros_computes_the_mode_coefficients_once_for_all_branches(tmp_path, monkeypatch):
+    import dqpt.cli
+    import dqpt.criticality
+
+    calls = []
+    for module in (dqpt.cli, dqpt.criticality):
+        orig = module.mode_coefficients
+        monkeypatch.setattr(
+            module, "mode_coefficients", lambda p, k, orig=orig: calls.append(1) or orig(p, k)
+        )
+    out = tmp_path / "z.csv"
+    argv = ["zeros", "--beta", "0.1", "--phi", "-pi/2", "--branch", "0", "--branch", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert len(calls) == 1
+    _, rows = read_rows(out)
+    assert len(rows) == 2 * 256

@@ -224,6 +224,31 @@ class TestFisherZeroLine:
         assert line.momenta.size == 0
         assert line.skipped.size == 10
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            QuenchProtocol(0.5, 2.0, 0.1, -math.pi / 2),
+            QuenchProtocol(0.0, 0.5, math.inf),
+            QuenchProtocol(1.3, 1.3, math.inf),  # every sample skipped
+        ],
+    )
+    def test_shared_coefficients_give_the_same_line(self, p):
+        k = np.linspace(0.1, 3.0, 57)
+        coeffs = mode_coefficients(p, k)
+        for n in (0, 2):
+            own, shared = fisher_zero_line(p, n, k), fisher_zero_line(p, n, k, coeffs)
+            for a, b in [
+                (own.momenta, shared.momenta),
+                (own.zeros, shared.zeros),
+                (own.skipped, shared.skipped),
+            ]:
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+            # the line carries the coefficients of its kept momenta
+            kept = mode_coefficients(p, own.momenta)
+            for name in ("k", "eps_post", "imbalance", "weight_plus", "weight_minus"):
+                a, b = getattr(shared.coefficients, name), getattr(kept, name)
+                assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+
     def test_rejects_empty_or_out_of_zone_samples(self):
         p = QuenchProtocol(0.5, 2.0, 1.0)
         with pytest.raises(ValueError):

@@ -1,10 +1,19 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from dqpt import QuenchProtocol, bogoliubov_angle, delta_theta, dispersion, mode_grid
+from dqpt import (
+    K_EPS,
+    QuenchProtocol,
+    bogoliubov_angle,
+    delta_theta,
+    dispersion,
+    mode_coefficients,
+    mode_grid,
+)
 
 
 class TestModeGrid:
@@ -95,6 +104,31 @@ class TestBogoliubovAngle:
     def test_zone_center_undefined_from_paramagnet(self, lam):
         with pytest.raises(ValueError):
             bogoliubov_angle(0.0, lam)
+
+    @pytest.mark.parametrize("k", [0.0, K_EPS, math.pi - K_EPS, math.pi])
+    @pytest.mark.parametrize("form", [float, np.asarray, lambda k: np.array([k, 1.0])])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_zone_ends_raise_no_floating_point_warning(self, k, form, lam):
+        # the conjugate quotient is formed only where d > 0, so k = 0 with
+        # lam < 1 never divides 0 by 0; k = 0 with lam >= 1 has no angle
+        message = (
+            "mixing angle undefined: defining complex number vanishes "
+            f"(k=0 with field {lam!r} >= 1)"
+        )
+        undefined = k == 0.0 and lam >= 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn, args in [
+                (bogoliubov_angle, (form(k), lam)),
+                (mode_coefficients, (QuenchProtocol(lam, 0.5, 1.0, 0.3), form(k))),
+                (mode_coefficients, (QuenchProtocol(0.5, lam, math.inf, -0.3), form(k))),
+            ]:
+                if undefined:
+                    with pytest.raises(ValueError) as exc:
+                        fn(*args)
+                    assert str(exc.value) == message
+                else:
+                    fn(*args)
 
     def test_float_pi_zone_edge_is_regular(self):
         # sin(float pi) is tiny but nonzero, so the angle degrades gracefully

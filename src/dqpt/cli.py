@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import math
 import os
 import re
@@ -331,7 +332,7 @@ def _rate_rows(protocol, cfg, warnings):
     ):
         bad = (not math.isfinite(r)) or e > cfg.tol
         singular += bad
-        rows.append((_fmt(t), _fmt(r), _fmt(e), "1" if bad else "0"))
+        rows.append(("%.17g" % t, "%.17g" % r, "%.17g" % e, "1" if bad else "0"))
     if singular:
         warnings.append(f"{singular} rate samples singular or above tolerance")
     diag = [
@@ -382,8 +383,8 @@ def _task_zeros(cfg, warnings):
         line = fisher_zero_line(protocol, n, k, coeffs)
         res = np.abs(boundary_partition(line.coefficients, line.zeros))
         worst = float(res.max(initial=worst))
-        for km, z, r in zip(line.momenta, line.zeros, res):
-            rows.append((_fmt(int(n)), _fmt(km), _fmt(z.real), _fmt(z.imag), _fmt(r)))
+        for km, z, r in zip(line.momenta.tolist(), line.zeros.tolist(), res.tolist()):
+            rows.append((str(n), "%.17g" % km, "%.17g" % z.real, "%.17g" % z.imag, "%.17g" % r))
         for km in line.skipped:
             warnings.append(f"branch {n}: sample k={_fmt(km)} skipped (vanishing weight)")
     diag = [("zeros.max_residual", worst)]
@@ -594,6 +595,7 @@ def _run_sweep(cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dqpt",

@@ -89,15 +89,16 @@ def _check_variant(variant: str) -> str:
     return variant
 
 
-def _variant_residual(protocol: QuenchProtocol, k, variant: str):
+def _variant_residual(protocol: QuenchProtocol, k, variant: str, coeffs=None):
     """Bounded residual whose zeros are the variant's critical momenta.
 
     sinh: the population imbalance itself (the sinh equation divided by
     cosh(beta*eps), same zeros, bounded by 1 for any beta).
     tanh: tanh(beta*eps)*cos(2 dtheta) + sin(phi)*sin(2 dtheta), the
-    multiplied-through form of the cotangent equation.
+    multiplied-through form of the cotangent equation.  coeffs, if given,
+    must be mode_coefficients(protocol, k).
     """
-    coeffs = mode_coefficients(protocol, k)
+    coeffs = mode_coefficients(protocol, k) if coeffs is None else coeffs
     if variant == "sinh":
         return coeffs.imbalance
     x = protocol.beta * np.asarray(coeffs.eps_pre)
@@ -134,15 +135,15 @@ def _bisect(fn, a: float, b: float, fa: float) -> float:
     return 0.5 * (a + b)
 
 
-def _scan_for_roots(fn, n_panels: int) -> np.ndarray:
+def _scan_for_roots(fn, n_panels: int, vals=None) -> np.ndarray:
     """Dense sign scan over (0, pi) followed by bisection.
 
     fn must accept momentum arrays.  An exact zero on a grid node triggers
     one re-scan on a shifted grid so every root is found through a genuine
-    sign change.
+    sign change.  vals, if given, must be fn(_scan_nodes(n_panels)).
     """
     nodes = _scan_nodes(n_panels)
-    vals = np.asarray(fn(nodes))
+    vals = np.asarray(fn(nodes) if vals is None else vals)
     if np.any(vals == 0.0):
         nodes = _scan_nodes(n_panels, shift=0.37)
         vals = np.asarray(fn(nodes))
@@ -256,16 +257,18 @@ def variant_report(protocol: QuenchProtocol, n_panels: int = 4096) -> VariantRep
     in the other variant's equation, and whether the Fisher line actually
     changes sign there.
     """
+    nodes = _scan_nodes(n_panels)
+    scan = mode_coefficients(protocol, nodes)  # both variants scan the same nodes
     rows = []
     for variant in VARIANTS:
         other = "tanh" if variant == "sinh" else "sinh"
-        cs = critical_modes(protocol, variant, 0, with_jump_signs=False, n_panels=n_panels)
-        for r, residual in zip(cs.modes, cs.residuals):
+        fn = lambda k: _variant_residual(protocol, k, variant)
+        for r in _scan_for_roots(fn, n_panels, _variant_residual(protocol, nodes, variant, scan)):
             rows.append(
                 VariantRow(
                     variant=variant,
                     k_star=float(r),
-                    residual=float(residual),
+                    residual=float(fn(r)),
                     residual_other=float(_variant_residual(protocol, r, other)),
                     fisher_confirmed=_sign_change_at(protocol, float(r)),
                 )

@@ -117,12 +117,13 @@ class _RateQuad:
     block of times is integrated over all base panels in one numpy pass of
     shape (time x panel x node), with blocks sized so each temporary stays
     near _BLOCK_BYTES.  Each panel carries a 15-point and a 7-point
-    Gauss-Legendre rule, and their difference is its error bound.  A
-    sample whose summed bound exceeds tol is refined on its own by
-    repeatedly halving the panel with the largest bound.  The children of a
-    split are the same panels at every time, so their node data is cached
-    per (left, width) of the split panel, up to _MAX_PANELS child panels,
-    and the protocol's modes are evaluated once per panel, not per sample.
+    Gauss-Legendre rule, and their difference is its error bound.  Samples
+    whose summed bound exceeds tol are refined in lockstep rounds, each one
+    halving the panel with the largest bound of every unfinished sample in
+    one array pass.  The children of a split are the same panels at every
+    time, so their node data is cached per (left, width) of the split panel,
+    up to _MAX_PANELS child panels, and the protocol's modes are evaluated
+    once per panel, not per sample.
 
     The two rules are deliberately not nested.  In the Gauss-Kronrod 7/15
     pair the 7 Gauss nodes are among the 15, so a narrow logarithmic spike
@@ -160,23 +161,10 @@ class _RateQuad:
         self._block = max(1, _BLOCK_BYTES // self._imb.nbytes)
         self._children = {}  # (left, width) of a split panel -> its children's node data
 
-    def _split(self, t, left, width):
-        """Node data, values and bounds of the two halves of one panel."""
-        key = (left, width)
-        data = self._children.get(key)
-        hw = 0.5 * width
-        if data is None:
-            data = _node_data(
-                self.protocol, np.array([left, left + hw]), np.array([hw, hw])
-            )
-            if 2 * len(self._children) >= _MAX_PANELS:
-                del self._children[next(iter(self._children))]
-            self._children[key] = data
-        i15, err = _panel_sums(0.5 * hw, _log_echo_values(data[0], data[1], t))
-        return hw, i15.tolist(), err.tolist()
-
-    def _refine(self, t, i15, err, total_err):
-        """Greedy panel halving for one time, from its base-panel sums."""
+    def _halvings(self, i15, err, total_err):
+        """Greedy panel halving for one time, from its base-panel sums: a
+        generator that yields each panel (left, width) it splits, is sent its
+        halves' GL15 values and bounds as two lists, and returns (value, bound)."""
         lefts = self._lefts
         widths = self._widths
         # base panels in pop order: largest bound first, then leftmost
@@ -200,7 +188,8 @@ class _RateQuad:
                 nxt += 1
             else:
                 neg_e, left, _, width, _ = heapq.heappop(heap)
-            hw, ci, ce = self._split(t, left, width)
+            ci, ce = yield left, width
+            hw = 0.5 * width
             for child_left, v, e in zip((left, left + hw), ci, ce):
                 heapq.heappush(heap, (-e, child_left, seq, hw, v))
                 seq += 1
@@ -218,11 +207,53 @@ class _RateQuad:
             self.unconverged += 1
         return value, total_err
 
+    def _refine(self, pending, values, bounds):
+        """Run (index, t, _halvings generator) samples in lockstep rounds.  A
+        round splits the next panel of every unfinished sample in one array
+        pass and holds its own node data: evicting can drop a key it reads."""
+        sent = [None] * len(pending)
+        while pending:
+            live, panels = [], []
+            for (i, t, gen), msg in zip(pending, sent):
+                try:
+                    panels.append(gen.send(msg))
+                    live.append((i, t, gen))
+                except StopIteration as done:
+                    values[i], bounds[i] = done.value
+            if not live:
+                break
+            data = {key: self._children.get(key) for key in panels}
+            new = [key for key, d in data.items() if d is None]
+            if new:  # one _node_data call for the halves of every uncached panel
+                left, width = np.array(new).T
+                hw = 0.5 * width
+                imb, eps = _node_data(
+                    self.protocol, np.stack([left, left + hw], 1).ravel(), np.repeat(hw, 2)
+                )
+                for j, key in enumerate(new):
+                    data[key] = imb[2 * j : 2 * j + 2], eps[2 * j : 2 * j + 2]
+                    if 2 * len(self._children) >= _MAX_PANELS:
+                        del self._children[next(iter(self._children))]
+                    self._children[key] = data[key]
+            v = _log_echo_values(  # (sample x half x node)
+                np.stack([data[key][0] for key in panels]),
+                np.stack([data[key][1] for key in panels]),
+                np.array([t for _, t, _ in live])[:, None, None],
+            )
+            half = 0.5 * (0.5 * np.array([width for _, width in panels]))
+            i15, err = _panel_sums(half[:, None], v)
+            sent = list(zip(i15.tolist(), err.tolist()))
+            pending = live
+
     def evaluate_block(self, times):
         """Integrate at each of a 1-d array of times; returns (values, bounds)."""
         times = np.asarray(times, dtype=float)
         values = np.empty(times.size)
         bounds = np.empty(times.size)
+        # held samples (i15 and err rows, a pop order, a heap: about four panel
+        # rows each) are refined once they fill about one _BLOCK_BYTES, and at the end
+        flush = max(1, _BLOCK_BYTES // (4 * self._half.nbytes))
+        pending = []
         for lo in range(0, times.size, self._block):
             tb = times[lo : lo + self._block]
             v = _log_echo_values(self._imb, self._eps, tb[:, None, None])
@@ -230,10 +261,13 @@ class _RateQuad:
             total = np.sum(err, axis=-1)
             values[lo : lo + tb.size] = np.sum(i15, axis=-1)
             bounds[lo : lo + tb.size] = total
-            for b in np.nonzero(total > self.tol)[0]:
-                values[lo + b], bounds[lo + b] = self._refine(
-                    float(tb[b]), i15[b], err[b], float(total[b])
-                )
+            for b in np.nonzero(total > self.tol)[0].tolist():
+                # row copies: views would keep the whole block alive
+                gen = self._halvings(i15[b].copy(), err[b].copy(), float(total[b]))
+                pending.append((lo + b, float(tb[b]), gen))
+            if len(pending) >= flush or lo + self._block >= times.size:
+                self._refine(pending, values, bounds)
+                pending = []
         return values, bounds
 
     def evaluate(self, t: float):

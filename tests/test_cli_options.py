@@ -220,3 +220,18 @@ def test_failed_write_keeps_the_old_file(tmp_path):
         _write_csv(str(path), ("t", "r"), rows())
     assert path.read_bytes() == b"t,r\n0,0\n"
     assert [p.name for p in tmp_path.iterdir()] == ["rate.csv"]
+
+
+def test_the_cached_parser_keeps_calls_independent(tmp_path, monkeypatch):
+    # one parser serves every main call; an appended --branch list must not
+    # leak from one call into the next
+    from dqpt import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "_run_task", lambda cfg: seen.append(cfg) or 0)
+    out = str(tmp_path / "z.csv")
+    assert main(["zeros", "--branch", "0", "--branch", "1", "--out", out]) == 0
+    assert main(["zeros", "--out", out]) == 0
+    assert main(["zeros", "--branch", "2", "--out", out]) == 0
+    assert [cfg.branches for cfg in seen] == [(0, 1), (0,), (2,)]
+    assert _build_parser() is _build_parser()

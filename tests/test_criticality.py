@@ -276,3 +276,52 @@ class TestVariantReport:
         for row in rep.rows:
             assert abs(row.residual) < 1e-10
             assert abs(row.residual_other) > 0.01
+
+
+def _per_variant_report_rows(protocol):
+    # variant_report as it was, one critical_modes scan per variant
+    from dqpt.criticality import VARIANTS, _sign_change_at, _variant_residual
+
+    rows = []
+    for variant in VARIANTS:
+        other = "tanh" if variant == "sinh" else "sinh"
+        cs = critical_modes(protocol, variant, 0, with_jump_signs=False)
+        for r, residual in zip(cs.modes, cs.residuals):
+            rows.append(
+                (
+                    variant,
+                    float(r),
+                    float(residual),
+                    float(_variant_residual(protocol, r, other)),
+                    _sign_change_at(protocol, float(r)),
+                )
+            )
+    return rows
+
+
+VARIANT_PROTOCOLS = [
+    QuenchProtocol(0.5, 2.0, 10.0),
+    QuenchProtocol(0.5, 2.0, 0.1, -1.2),
+    QuenchProtocol(0.5, 2.0, 1.0, -math.pi / 2),
+    QuenchProtocol(1.5, 2.0, 0.36, -math.pi / 2),
+    QuenchProtocol(2.5, 0.2, math.inf, 2.0),
+    QuenchProtocol(0.0, 0.5, 0.1, -math.pi / 2),
+]
+
+
+@pytest.mark.parametrize("protocol", VARIANT_PROTOCOLS)
+def test_variant_report_scans_its_nodes_once(monkeypatch, protocol):
+    from dqpt import criticality
+
+    scan_size = _scan_nodes(4096).size
+    sizes = []
+    orig = criticality.mode_coefficients
+    monkeypatch.setattr(
+        criticality, "mode_coefficients", lambda p, k: sizes.append(np.size(k)) or orig(p, k)
+    )
+    rep = variant_report(protocol)
+    assert sizes.count(scan_size) == 1
+    rows = [
+        (r.variant, r.k_star, r.residual, r.residual_other, r.fisher_confirmed) for r in rep.rows
+    ]
+    assert rows == _per_variant_report_rows(protocol)

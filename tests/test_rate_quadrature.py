@@ -120,3 +120,34 @@ def test_node_cache_is_bounded(monkeypatch):
     assert quad.extra_panels > cap
     assert max(sizes) == cap // 2  # each entry holds a split panel's two halves
     assert quad.unconverged == 12
+
+
+def test_node_cache_stays_bounded_inside_a_round(monkeypatch):
+    # with 65 base panels each sample splits 32 times, the 40 samples split
+    # more distinct panels than the cache holds, and a round keeps its own
+    # node data while it evicts from the full cache
+    cap = 128
+    monkeypatch.setattr(observables, "_MAX_PANELS", cap)
+    sizes = []
+
+    class RecordingCache(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            sizes.append(len(self))
+
+    init = _RateQuad.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._children = RecordingCache()
+
+    monkeypatch.setattr(_RateQuad, "__init__", recording_init)
+    times = np.linspace(5.4, 5.6, 40)
+    diag = {}
+    series = compute_rate_series(FIG3, times, tol=1e-18, diagnostics=diag)
+    assert max(sizes) == cap // 2
+    assert diag["extra_panels"] == times.size * 32
+    assert diag["unconverged_samples"] == times.size
+    pointwise = np.array([rate_function(FIG3, float(t), tol=1e-18) for t in times])
+    assert np.array_equal(series.values.view(np.int64), pointwise[:, 0].view(np.int64))
+    assert np.array_equal(series.estimated_error.view(np.int64), pointwise[:, 1].view(np.int64))

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import itertools
 import math
 import os
 import re
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .criticality import critical_modes, fisher_zero_line, variant_report
+from .criticality import VARIANTS, critical_modes, fisher_zero_line, variant_report
 from .mode_dynamics import (  # noqa: F401 (perfbench traces null_work_decomposition here)
     boundary_partition,
     mode_coefficients,
@@ -40,18 +41,6 @@ from .observables import (
     detect_cusps,
     phase_profile,
 )
-
-TASKS = (
-    "rate",
-    "rate-finite",
-    "zeros",
-    "critical-modes",
-    "winding",
-    "echo-decomposition",
-    "variant-report",
-    "sweep",
-)
-
 
 class ConfigError(Exception):
     """Invalid configuration; maps to exit code 2."""
@@ -149,7 +138,7 @@ class RunConfig:
         metavar="N",
         help="Fisher-line branch index; repeatable",
     )
-    variant: str = _opt("sinh", _parse_text, "--variant", choices=("sinh", "tanh"))
+    variant: str = _opt("sinh", _parse_text, "--variant", choices=VARIANTS)
     tol: float = _opt(1e-8, parse_number, "--tol", metavar="X")
     n_sites: int = _opt(1000, _parse_int, "--n-sites", metavar="N")
     n_max: int = _opt(3, _parse_int, "--n-max", metavar="N")
@@ -206,8 +195,8 @@ def _resolve_config(args) -> RunConfig:
 def _validate(cfg: RunConfig):
     if cfg.task not in TASKS:
         raise ConfigError(f"unknown task {cfg.task!r}")
-    if cfg.variant not in ("sinh", "tanh"):
-        raise ConfigError(f"variant must be sinh or tanh, got {cfg.variant!r}")
+    if cfg.variant not in VARIANTS:
+        raise ConfigError(f"variant must be {' or '.join(VARIANTS)}, got {cfg.variant!r}")
     min_steps = 5 if cfg.task == "sweep" else 2  # a sweep's cusp detection needs 5
     if cfg.steps < min_steps:
         raise ConfigError(f"steps must be >= {min_steps}, got {cfg.steps}")
@@ -284,12 +273,13 @@ def _atomic_open(path: str):
         raise
 
 
-def _write_csv(path: str, header, rows) -> int:
+def _write_csv(path: str, header: str, template: str, rows) -> int:
+    """Header line, then template % row per row; returns the rows written."""
     count = 0
     with _atomic_open(path) as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(header + "\n")
         for count, row in enumerate(rows, 1):
-            fh.write(",".join(row) + "\n")
+            fh.write(template % row)
     return count
 
 
@@ -316,61 +306,36 @@ def _write_manifest(path: str, cfg: RunConfig, started: float, entries, warnings
 
 
 # ---------------------------------------------------------------------------
-# task handlers: each returns (header, rows, diagnostics, degraded); rows may be a generator
+# task handlers: each returns (result, rows, diagnostics, degraded).  result is
+# the library object the rows come from (None where there is no single one; a
+# sweep cell reads back those of critical-modes and rate); rows, a list or an
+# iterator, hold the plain values the task's row template formats
 
-_RATE_HEADER = ("t", "r", "err_bound", "singular_flag")
 
-
-def _rate_rows(protocol, cfg, warnings):
-    """Quadrature rate series, its CSV rows, manifest diagnostics, degraded flag."""
+def _task_rate(cfg, warnings):
     diag_in: dict = {}
-    series = compute_rate_series(protocol, _times(cfg), cfg.tol, diagnostics=diag_in)
-    rows = []
-    singular = 0
-    for t, r, e in zip(
-        series.times.tolist(), series.values.tolist(), series.estimated_error.tolist()
-    ):
-        bad = (not math.isfinite(r)) or e > cfg.tol
-        singular += bad
-        rows.append(("%.17g" % t, "%.17g" % r, "%.17g" % e, "1" if bad else "0"))
+    series = compute_rate_series(_protocol(cfg), _times(cfg), cfg.tol, diagnostics=diag_in)
+    bad = ~np.isfinite(series.values) | (series.estimated_error > cfg.tol)
+    singular = int(bad.sum())
     if singular:
         warnings.append(f"{singular} rate samples singular or above tolerance")
+    columns = (series.times, series.values, series.estimated_error, bad)
     diag = [
         ("rate.extra_panels", diag_in["extra_panels"]),
         ("rate.unconverged_samples", diag_in["unconverged_samples"]),
         ("rate.singular_rows", singular),
     ]
-    return series, rows, diag, singular > 0
-
-
-_CRITICAL_HEADER = ("variant", "k_star", "residual", "t_star_0", "jump_sign")
-
-
-def _critical_rows(protocol, cfg):
-    """Critical modes with jump signs, and their CSV rows."""
-    cs = critical_modes(protocol, cfg.variant, cfg.n_max, with_jump_signs=True)
-    rows = [
-        (cs.condition_variant, _fmt(k), _fmt(res), _fmt(ladder[0]), _fmt(int(sign)))
-        for k, res, ladder, sign in zip(cs.modes, cs.residuals, cs.times, cs.jump_signs)
-    ]
-    return cs, rows
-
-
-def _task_rate(cfg, warnings):
-    _, rows, diag, degraded = _rate_rows(_protocol(cfg), cfg, warnings)
-    return _RATE_HEADER, rows, diag, degraded
+    return series, zip(*(c.tolist() for c in columns)), diag, singular > 0
 
 
 def _task_rate_finite(cfg, warnings):
     series = compute_rate_series_finite(_protocol(cfg), cfg.n_sites, _times(cfg))
-    finite = np.isfinite(series.values).tolist()
-    singular = finite.count(False)
+    bad = ~np.isfinite(series.values)
+    singular = int(bad.sum())
     if singular:
         warnings.append(f"{singular} finite-size samples hit an exact amplitude zero")
-    columns = zip(series.times.tolist(), series.values.tolist(), finite)
-    rows = (("%.17g" % t, "%.17g" % r, "0" if ok else "1") for t, r, ok in columns)
-    diag = [("rate_finite.singular_rows", singular)]
-    return ("t", "r", "singular_flag"), rows, diag, singular > 0
+    rows = zip(series.times.tolist(), series.values.tolist(), bad.tolist())
+    return series, rows, [("rate_finite.singular_rows", singular)], singular > 0
 
 
 def _task_zeros(cfg, warnings):
@@ -383,20 +348,21 @@ def _task_zeros(cfg, warnings):
         line = fisher_zero_line(protocol, n, k, coeffs)
         res = np.abs(boundary_partition(line.coefficients, line.zeros))
         worst = float(res.max(initial=worst))
-        for km, z, r in zip(line.momenta.tolist(), line.zeros.tolist(), res.tolist()):
-            rows.append((str(n), "%.17g" % km, "%.17g" % z.real, "%.17g" % z.imag, "%.17g" % r))
+        columns = (line.momenta, line.zeros.real, line.zeros.imag, res)
+        rows.extend(zip(itertools.repeat(n), *(c.tolist() for c in columns)))
         for km in line.skipped:
             warnings.append(f"branch {n}: sample k={_fmt(km)} skipped (vanishing weight)")
-    diag = [("zeros.max_residual", worst)]
-    return ("n", "k", "re_z", "im_z", "residual"), rows, diag, False
+    return None, rows, [("zeros.max_residual", worst)], False
 
 
 def _task_critical_modes(cfg, warnings):
-    cs, rows = _critical_rows(_protocol(cfg), cfg)
+    cs = critical_modes(_protocol(cfg), cfg.variant, cfg.n_max, with_jump_signs=True)
+    firsts = [float(ladder[0]) for ladder in cs.times]
+    columns = (cs.modes.tolist(), cs.residuals.tolist(), firsts, cs.jump_signs)
+    rows = list(zip(itertools.repeat(cs.condition_variant), *columns))
     diag = [("critical_modes.count", len(cs.modes))]
-    for i, r in enumerate(cs.residuals):
-        diag.append((f"critical_modes.residual.{i}", r))
-    return _CRITICAL_HEADER, rows, diag, False
+    diag += [(f"critical_modes.residual.{i}", r) for i, r in enumerate(cs.residuals)]
+    return cs, rows, diag, False
 
 
 def _task_winding(cfg, warnings):
@@ -412,12 +378,12 @@ def _task_winding(cfg, warnings):
             warnings.append(f"sample t={_fmt(t)} skipped: {exc}")
             continue
         refinements += prof.refinements
-        rows.append(("%.17g" % t, "%.17g" % prof.winding, str(prof.refinements)))
+        rows.append((t, prof.winding, prof.refinements))
     diag = [
         ("winding.refinements_total", refinements),
         ("winding.failed_samples", failures),
     ]
-    return ("t", "nu", "unwrap_refinements"), rows, diag, failures > 0
+    return None, rows, diag, failures > 0
 
 
 def _task_echo_decomposition(cfg, warnings):
@@ -429,56 +395,63 @@ def _task_echo_decomposition(cfg, warnings):
     null_imbalance = np.cos(2.0 * coeffs.delta_theta)
     block = max(1, _BLOCK_BYTES // momenta.nbytes)
 
-    def rows():  # (time block x mode) arrays, formatted one time at a time
+    def rows():  # (time block x mode) arrays; t and k are formatted once each
         k_text = ["%.17g" % k for k in momenta.tolist()]
         for lo in range(0, times.size, block):
             tb = times[lo : lo + block, None]
             echo = mode_echo(coeffs.imbalance, coeffs.eps_post, tb)
             null = mode_echo(null_imbalance, coeffs.eps_post, tb)
             for t, echo_t, null_t in zip(tb[:, 0].tolist(), echo, null):
-                t_text = "%.17g" % t
-                columns = zip(k_text, echo_t.tolist(), null_t.tolist(), (echo_t - null_t).tolist())
-                for k, e, n, i in columns:
-                    yield t_text, k, "%.17g" % e, "%.17g" % n, "%.17g" % i
+                columns = (echo_t.tolist(), null_t.tolist(), (echo_t - null_t).tolist())
+                yield from zip(itertools.repeat("%.17g" % t), k_text, *columns)
 
-    diag = [("echo.rows", times.size * momenta.size)]
-    return ("t", "k", "echo", "null_work", "interference"), rows(), diag, False
+    return None, rows(), [("echo.rows", times.size * momenta.size)], False
 
 
 def _task_variant_report(cfg, warnings):
     rep = variant_report(_protocol(cfg))
-    rows = [
-        (
-            row.variant,
-            _fmt(row.k_star),
-            _fmt(row.residual),
-            _fmt(row.residual_other),
-            _fmt(row.fisher_confirmed),
-        )
-        for row in rep.rows
-    ]
-    diag = [("variant_report.rows", len(rows))]
-    header = ("variant", "k_star", "residual", "residual_other_variant", "fisher_confirmed")
-    return header, rows, diag, False
+    rows = [dataclasses.astuple(row) for row in rep.rows]  # VariantRow fields are the columns
+    return rep, rows, [("variant_report.rows", len(rows))], False
 
 
-_HANDLERS = {
-    "rate": _task_rate,
-    "rate-finite": _task_rate_finite,
-    "zeros": _task_zeros,
-    "critical-modes": _task_critical_modes,
-    "winding": _task_winding,
-    "echo-decomposition": _task_echo_decomposition,
-    "variant-report": _task_variant_report,
+# task -> (handler, CSV header, row template)
+_TASKS = {
+    "rate": (_task_rate, "t,r,err_bound,singular_flag", "%.17g,%.17g,%.17g,%d\n"),
+    "rate-finite": (_task_rate_finite, "t,r,singular_flag", "%.17g,%.17g,%d\n"),
+    "zeros": (_task_zeros, "n,k,re_z,im_z,residual", "%d,%.17g,%.17g,%.17g,%.17g\n"),
+    "critical-modes": (
+        _task_critical_modes,
+        "variant,k_star,residual,t_star_0,jump_sign",
+        "%s,%.17g,%.17g,%.17g,%d\n",
+    ),
+    "winding": (_task_winding, "t,nu,unwrap_refinements", "%.17g,%.17g,%d\n"),
+    "echo-decomposition": (
+        _task_echo_decomposition,
+        "t,k,echo,null_work,interference",
+        "%s,%s,%.17g,%.17g,%.17g\n",
+    ),
+    "variant-report": (
+        _task_variant_report,
+        "variant,k_star,residual,residual_other_variant,fisher_confirmed",
+        "%s,%.17g,%.17g,%.17g,%d\n",
+    ),
 }
+TASKS = (*_TASKS, "sweep")
+
+
+def _write_task(task: str, cfg: RunConfig, path: str, warnings: list):
+    """Run one task and write its CSV: (result, rows written, diagnostics, degraded)."""
+    handler, header, template = _TASKS[task]
+    result, rows, diag, degraded = handler(cfg, warnings)
+    return result, _write_csv(path, header, template, rows), diag, degraded
 
 
 def _run_task(cfg: RunConfig) -> int:
     started = time.perf_counter()
     out_path = cfg.out or cfg.task + ".csv"
     warnings: list = []
-    header, rows, diag, degraded = _HANDLERS[cfg.task](cfg, warnings)
-    entries = [("output", out_path), ("rows", _write_csv(out_path, header, rows)), *diag]
+    _, count, diag, degraded = _write_task(cfg.task, cfg, out_path, warnings)
+    entries = [("output", out_path), ("rows", count), *diag]
     tail = [("degraded", degraded)]
     _write_manifest(out_path + ".manifest", cfg, started, entries, warnings, tail)
     if degraded:
@@ -495,34 +468,30 @@ def _cell_name(beta, phi, lambda_post) -> str:
 
 
 def _sweep_cell(payload):
+    """Run the critical-modes and rate tasks in one cell; (index row, degraded)."""
     cfg, cell_dir = payload
     started = time.perf_counter()
     os.makedirs(cell_dir, exist_ok=True)
-    protocol = _protocol(cfg)
     warnings: list = []
-
-    cs, mode_rows = _critical_rows(protocol, cfg)
-    _write_csv(os.path.join(cell_dir, "critical_modes.csv"), _CRITICAL_HEADER, mode_rows)
-    series, rate_rows, rate_diag, degraded = _rate_rows(protocol, cfg, warnings)
-    _write_csv(os.path.join(cell_dir, "rate.csv"), _RATE_HEADER, rate_rows)
+    in_cell = functools.partial(os.path.join, cell_dir)
+    cs, _, entries, _ = _write_task("critical-modes", cfg, in_cell("critical_modes.csv"), warnings)
+    series, _, rate_diag, degraded = _write_task("rate", cfg, in_cell("rate.csv"), warnings)
 
     cusps = detect_cusps(series)
-    first_time = min((ladder[0] for ladder in cs.times), default=math.nan)
-
-    entries = [("critical_modes.count", len(cs.modes)), *rate_diag, ("cusps.count", len(cusps))]
+    first_time = min((float(ladder[0]) for ladder in cs.times), default=math.nan)
+    entries += [*rate_diag, ("cusps.count", len(cusps))]
     entries += [(f"cusps.{i}", c) for i, c in enumerate(cusps)]
-    _write_manifest(os.path.join(cell_dir, "cell.manifest"), cfg, started, entries, warnings)
+    _write_manifest(in_cell("cell.manifest"), cfg, started, entries, warnings)
 
-    return (
-        os.path.basename(cell_dir),
-        cfg.beta,
-        cfg.phi,
-        cfg.lambda_post,
-        len(cs.modes),
-        first_time,
-        len(cusps),
-        degraded,
-    )
+    name = os.path.basename(cell_dir)
+    row = (name, cfg.beta, cfg.phi, cfg.lambda_post, len(cs.modes), first_time, len(cusps))
+    return row, degraded
+
+
+_INDEX = (
+    "cell,beta,phi,lambda_post,n_critical_modes,first_critical_time,cusp_count",
+    "%s,%.17g,%.17g,%.17g,%d,%.17g,%d\n",
+)
 
 
 def _run_sweep(cfg: RunConfig) -> int:
@@ -565,29 +534,13 @@ def _run_sweep(cfg: RunConfig) -> int:
     else:
         results = [_sweep_cell(p) for p in payloads]
 
-    index_rows = [
-        (name, _fmt(b), _fmt(p), _fmt(lp), _fmt(nm), _fmt(ft), _fmt(nc))
-        for name, b, p, lp, nm, ft, nc, _ in results
-    ]
     # the index is written only once every cell has finished
-    _write_csv(
-        os.path.join(out_dir, "index.csv"),
-        (
-            "cell",
-            "beta",
-            "phi",
-            "lambda_post",
-            "n_critical_modes",
-            "first_critical_time",
-            "cusp_count",
-        ),
-        index_rows,
-    )
-
-    entries = [("cells", len(cells)), ("degraded_cells", sum(1 for r in results if r[-1]))]
+    _write_csv(os.path.join(out_dir, "index.csv"), *_INDEX, (row for row, _ in results))
+    degraded = sum(bad for _, bad in results)
+    entries = [("cells", len(cells)), ("degraded_cells", degraded)]
     _write_manifest(os.path.join(out_dir, "sweep.manifest"), cfg, started, entries)
 
-    if any(r[-1] for r in results):
+    if degraded:
         print(f"dqpt: sweep: numerical degradation in some cells, see {out_dir}", file=sys.stderr)
         return 3
     return 0

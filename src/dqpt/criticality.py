@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import K_EPS, QuenchProtocol, dispersion
-from .mode_dynamics import ModeCoefficients, boundary_partition, mode_coefficients
+from .mode_dynamics import ModeCoefficients, mode_coefficients
+from .mode_dynamics import boundary_partition  # noqa: F401 (traced by perfbench)
 
 __all__ = [
     "CriticalSet",
@@ -37,6 +38,7 @@ __all__ = [
 VARIANTS = ("sinh", "tanh")
 
 _BISECT_TOL = 1e-12
+_SCAN_PANELS = 4096  # uniform panels of the root scan over (0, pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,9 +157,9 @@ def _scan_for_roots(fn, n_panels: int, vals=None) -> np.ndarray:
     return np.asarray(roots, dtype=float)
 
 
-def imbalance_roots(protocol: QuenchProtocol, n_panels: int = 4096) -> np.ndarray:
+def imbalance_roots(protocol: QuenchProtocol) -> np.ndarray:
     """Momenta in (0, pi) where the population imbalance vanishes."""
-    return _scan_for_roots(lambda k: _variant_residual(protocol, k, "sinh"), n_panels)
+    return _scan_for_roots(lambda k: _variant_residual(protocol, k, "sinh"), _SCAN_PANELS)
 
 
 def _ladder(n, eps):
@@ -186,7 +188,6 @@ def critical_modes(
     variant: str = "sinh",
     n_max: int = 3,
     with_jump_signs: bool = True,
-    n_panels: int = 4096,
 ) -> CriticalSet:
     """Find the critical momenta of the chosen condition variant.
 
@@ -197,7 +198,7 @@ def critical_modes(
     with_jump_signs=False leaves them None.
     """
     _check_variant(variant)
-    roots = _scan_for_roots(lambda k: _variant_residual(protocol, k, variant), n_panels)
+    roots = _scan_for_roots(lambda k: _variant_residual(protocol, k, variant), _SCAN_PANELS)
     residuals = np.asarray([float(_variant_residual(protocol, r, variant)) for r in roots])
     signs: list = [None] * len(roots)
     if with_jump_signs:
@@ -250,20 +251,21 @@ def _sign_change_at(protocol: QuenchProtocol, k_star: float) -> bool:
     return (left < 0.0) != (right < 0.0)
 
 
-def variant_report(protocol: QuenchProtocol, n_panels: int = 4096) -> VariantReport:
+def variant_report(protocol: QuenchProtocol) -> VariantReport:
     """Roots of both condition variants side by side.
 
     Each row carries the root's residual in its own equation, its residual
     in the other variant's equation, and whether the Fisher line actually
     changes sign there.
     """
-    nodes = _scan_nodes(n_panels)
+    nodes = _scan_nodes(_SCAN_PANELS)
     scan = mode_coefficients(protocol, nodes)  # both variants scan the same nodes
     rows = []
     for variant in VARIANTS:
         other = "tanh" if variant == "sinh" else "sinh"
         fn = lambda k: _variant_residual(protocol, k, variant)
-        for r in _scan_for_roots(fn, n_panels, _variant_residual(protocol, nodes, variant, scan)):
+        vals = _variant_residual(protocol, nodes, variant, scan)
+        for r in _scan_for_roots(fn, _SCAN_PANELS, vals):
             rows.append(
                 VariantRow(
                     variant=variant,

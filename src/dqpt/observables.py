@@ -361,6 +361,7 @@ def critical_rate_function(protocol: QuenchProtocol, k_star: float, t):
 
 _JUMP_LIMIT = 0.5 * math.pi
 _MAX_UNWRAP_ROUNDS = 32
+_MAX_UNWRAP_MOMENTA = 1 << 16  # momenta refinement may add; grows with coupling * t
 
 
 class UnwrapError(RuntimeError):
@@ -435,7 +436,9 @@ def phase_profile(
 
     The momentum grid starts uniform on (0, pi) and is refined by midpoint
     insertion until adjacent jumps of the total, dynamical and geometric
-    phases all stay below pi/2; failure to get there raises UnwrapError.
+    phases all stay below pi/2; failure to get there within
+    _MAX_UNWRAP_ROUNDS rounds and _MAX_UNWRAP_MOMENTA added momenta raises
+    UnwrapError.
     gauge_offset adds a constant to the dynamical-phase integrand, a hook
     for checking that winding jumps do not depend on that convention.
     """
@@ -457,12 +460,12 @@ def phase_profile(
         bad = jump >= _JUMP_LIMIT
         if not bad.any():
             break
-        if rounds >= _MAX_UNWRAP_ROUNDS:
-            i = int(np.argmax(bad))  # first offending gap
+        idx = np.nonzero(bad)[0]
+        if rounds >= _MAX_UNWRAP_ROUNDS or added + idx.size > _MAX_UNWRAP_MOMENTA:
+            i = idx[0]  # first offending gap
             raise UnwrapError(
                 0.5 * (k[i] + k[i + 1]), t, _nearest_critical_time(protocol, t)
             )
-        idx = np.nonzero(bad)[0]
         mids = 0.5 * (k[idx] + k[idx + 1])
         w_m, d_m = _phase_samples(protocol, t, mids, gauge_offset)
         k = np.concatenate([k, mids])

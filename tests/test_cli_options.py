@@ -217,7 +217,7 @@ def test_failed_write_keeps_the_old_file(tmp_path):
         raise RuntimeError("killed mid-write")
 
     with pytest.raises(RuntimeError):
-        _write_csv(str(path), ("t", "r"), rows())
+        _write_csv(str(path), "t,r", "%s,%s\n", rows())
     assert path.read_bytes() == b"t,r\n0,0\n"
     assert [p.name for p in tmp_path.iterdir()] == ["rate.csv"]
 
@@ -235,3 +235,16 @@ def test_the_cached_parser_keeps_calls_independent(tmp_path, monkeypatch):
     assert main(["zeros", "--branch", "2", "--out", out]) == 0
     assert [cfg.branches for cfg in seen] == [(0, 1), (0,), (2,)]
     assert _build_parser() is _build_parser()
+
+
+def test_winding_at_a_huge_coupling_skips_its_samples_and_exits_3(tmp_path, capsys):
+    # unwrapping t = 4 at coupling 1e6 needs more momenta than the refinement
+    # budget allows; the sample is skipped with a warning instead
+    out = tmp_path / "w.csv"
+    assert main(["winding", "--coupling", "1e6", "--steps", "2", "--out", str(out)]) == 3
+    assert out.read_text() == "t,nu,unwrap_refinements\n0,0,0\n"
+    manifest = dict(RunManifest.from_text((tmp_path / "w.csv.manifest").read_text()).entries)
+    assert manifest["winding.failed_samples"] == "1"
+    assert manifest["warning.0"].startswith("sample t=4 skipped: phase unwrap failed")
+    assert "warning.1" not in manifest
+    assert "numerical degradation" in capsys.readouterr().err

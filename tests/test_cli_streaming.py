@@ -96,8 +96,8 @@ def test_streamed_csv_equals_the_list_oracle(tmp_path, task, protocol, n_sites, 
 
 def test_write_csv_counts_the_rows_it_writes(tmp_path):
     path = str(tmp_path / "x.csv")
-    assert cli._write_csv(path, ("a",), iter([("1",), ("2",), ("3",)])) == 3
-    assert cli._write_csv(path, ("a",), []) == 0
+    assert cli._write_csv(path, "a", "%s\n", iter([("1",), ("2",), ("3",)])) == 3
+    assert cli._write_csv(path, "a", "%s\n", []) == 0
 
 
 def test_echo_decomposition_memory_does_not_grow_with_its_output(tmp_path):

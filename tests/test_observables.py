@@ -19,6 +19,7 @@ from dqpt import (
     rate_function_finite,
     winding_number,
 )
+from dqpt import observables
 from dqpt.mode_dynamics import mode_amplitude
 from dqpt.observables import _finite_rate_from_mode_echoes
 
@@ -209,6 +210,27 @@ class TestWindingNumber:
         assert err.time == T_STAR
         assert abs(err.momentum - K_STAR) < 1e-3
         assert err.nearest_critical_time == pytest.approx(T_STAR, abs=1e-6)
+
+    def test_refinement_stops_at_its_momentum_budget(self, monkeypatch):
+        # 272 added momenta at coupling 30, t = 4: a budget of 272 is enough,
+        # 271 is not, and the refusal comes before the round that would pass it
+        protocol = QuenchProtocol(0.5, 2.0, 1.0, 0.0, coupling=30.0)
+        full = phase_profile(protocol, 4.0)
+        assert full.refinements == 272
+        monkeypatch.setattr(observables, "_MAX_UNWRAP_MOMENTA", 272)
+        assert np.array_equal(phase_profile(protocol, 4.0).k_samples, full.k_samples)
+        monkeypatch.setattr(observables, "_MAX_UNWRAP_MOMENTA", 271)
+        with pytest.raises(UnwrapError) as exc_info:
+            phase_profile(protocol, 4.0)
+        assert exc_info.value.time == 4.0
+
+    def test_huge_coupling_fails_fast_instead_of_refining_without_end(self):
+        # the added momenta grow with coupling * t: 550, 8,126 and 82,861 at
+        # couplings 1e3, 1e4 and 1e5 and t = 0.2 without a budget
+        assert phase_profile(QuenchProtocol(0.5, 2.0, 10.0, coupling=1e4), 0.2).refinements == 8126
+        for coupling in (1e5, 1e6):
+            with pytest.raises(UnwrapError):
+                phase_profile(QuenchProtocol(0.5, 2.0, 10.0, coupling=coupling), 0.2)
 
 
 class TestDetectCusps:

@@ -323,6 +323,9 @@ def _task_rate(cfg, warnings):
     diag = [
         ("rate.extra_panels", diag_in["extra_panels"]),
         ("rate.unconverged_samples", diag_in["unconverged_samples"]),
+        ("rate.max_splits", diag_in["max_splits"]),
+        ("rate.max_err_bound", diag_in["max_err_bound"]),
+        ("rate.max_err_bound_t", diag_in["max_err_bound_t"]),
         ("rate.singular_rows", singular),
     ]
     return series, zip(*(c.tolist() for c in columns)), diag, singular > 0

@@ -38,6 +38,7 @@ __all__ = [
 VARIANTS = ("sinh", "tanh")
 
 _BISECT_TOL = 1e-12
+_ROOT_RESIDUAL = 1e-10  # bisection goes past _BISECT_TOL until both ends are this close
 _SCAN_PANELS = 4096  # uniform panels of the root scan over (0, pi)
 
 
@@ -121,9 +122,10 @@ def _scan_nodes(n_panels: int, shift: float = 0.0) -> np.ndarray:
     return np.concatenate([lead, interior, np.sort(tail)])
 
 
-def _bisect(fn, a: float, b: float, fa: float) -> float:
-    # plain bisection on a sign-change bracket, to _BISECT_TOL in k
-    while b - a > _BISECT_TOL:
+def _bisect(fn, a: float, b: float, fa: float, fb: float) -> float:
+    # plain bisection on a sign-change bracket, to _BISECT_TOL in k, and on
+    # while an end's residual exceeds _ROOT_RESIDUAL (a steep root)
+    while b - a > _BISECT_TOL or max(abs(fa), abs(fb)) > _ROOT_RESIDUAL:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:  # interval at float resolution
             break
@@ -133,7 +135,7 @@ def _bisect(fn, a: float, b: float, fa: float) -> float:
         if (fa < 0.0) == (fm < 0.0):
             a, fa = mid, fm
         else:
-            b = mid
+            b, fb = mid, fm
     return 0.5 * (a + b)
 
 
@@ -153,7 +155,9 @@ def _scan_for_roots(fn, n_panels: int, vals=None) -> np.ndarray:
             return np.sort(nodes[vals == 0.0])
     idx = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
     scalar = lambda k: float(fn(k))
-    roots = [_bisect(scalar, nodes[i], nodes[i + 1], float(vals[i])) for i in idx]
+    roots = [
+        _bisect(scalar, nodes[i], nodes[i + 1], float(vals[i]), float(vals[i + 1])) for i in idx
+    ]
     return np.asarray(roots, dtype=float)
 
 

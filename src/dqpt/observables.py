@@ -10,7 +10,6 @@ an unresolvable jump is how a critical (k, t) pair announces itself.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -118,12 +117,14 @@ class _RateQuad:
     shape (time x panel x node), with blocks sized so each temporary stays
     near _BLOCK_BYTES.  Each panel carries a 15-point and a 7-point
     Gauss-Legendre rule, and their difference is its error bound.  Samples
-    whose summed bound exceeds tol are refined in lockstep rounds, each one
-    halving the panel with the largest bound of every unfinished sample in
-    one array pass.  The children of a split are the same panels at every
-    time, so their node data is cached per (left, width) of the split panel,
-    up to _MAX_PANELS child panels, and the protocol's modes are evaluated
-    once per panel, not per sample.
+    whose summed bound exceeds tol are refined by greedy halving in lockstep
+    rounds on array state: (left, width, value, bound) x sample x live
+    panel.  Each round halves, in every unfinished sample, the live panel
+    with the largest bound, the leftmost of equal ones, in one array pass.
+    The children of a split are the same panels at every time, so their node
+    data is cached per (left, width) of the split panel, up to _MAX_PANELS
+    child panels, and the protocol's modes are evaluated once per panel, not
+    per sample.
 
     The two rules are deliberately not nested.  In the Gauss-Kronrod 7/15
     pair the 7 Gauss nodes are among the 15, so a narrow logarithmic spike
@@ -140,6 +141,7 @@ class _RateQuad:
         self.tol = float(tol)
         self.extra_panels = 0  # refinement splits accumulated over all calls
         self.unconverged = 0
+        self.max_splits = 0  # most splits on one sample over all calls
 
         edges = [0.0]
         for r in imbalance_roots(protocol):
@@ -161,113 +163,100 @@ class _RateQuad:
         self._block = max(1, _BLOCK_BYTES // self._imb.nbytes)
         self._children = {}  # (left, width) of a split panel -> its children's node data
 
-    def _halvings(self, i15, err, total_err):
-        """Greedy panel halving for one time, from its base-panel sums: a
-        generator that yields each panel (left, width) it splits, is sent its
-        halves' GL15 values and bounds as two lists, and returns (value, bound)."""
-        lefts = self._lefts
-        widths = self._widths
-        # base panels in pop order: largest bound first, then leftmost
-        order = np.argsort(-err, kind="stable")
-        n_base = order.size
-        nxt = 0
-        heap = []  # live children: (-bound, left, seq, width, value)
-        seq = 0
+    def _refine(self, held, values, bounds):
+        """Refine the held samples, blocks of (index, time, i15 row, err row,
+        summed bound) that it empties; writes their values and bounds at index.
+
+        A sample stops once its running bound is within tol or a cap is
+        reached; every sample still refining has split once per round, so
+        those that stop together are summed in left order as one array and
+        dropped.  A round holds its own node data: evicting can drop a key
+        it reads."""
+        n_base = self._lefts.size
+        index, times, total = (np.concatenate([h[q] for h in held]) for q in (0, 1, 4))
+        # (left, width, GL15 value, bound) x sample x live panel
+        panels = np.empty((4, index.size, n_base))
+        panels[0], panels[1] = self._lefts, self._widths
+        for q in (2, 3):
+            np.concatenate([h[q] for h in held], out=panels[q])
+        held.clear()  # the rows live on in panels only
         splits = 0
-        while (
-            total_err > self.tol
-            and splits < _MAX_SPLITS
-            and n_base + 2 * splits < _MAX_PANELS
-        ):
-            base = None
-            if nxt < n_base:
-                j = order[nxt]
-                base = (-float(err[j]), float(lefts[j]), float(widths[j]))
-            if base is not None and (not heap or base[:2] <= heap[0][:2]):
-                neg_e, left, width = base
-                nxt += 1
-            else:
-                neg_e, left, _, width, _ = heapq.heappop(heap)
-            ci, ce = yield left, width
-            hw = 0.5 * width
-            for child_left, v, e in zip((left, left + hw), ci, ce):
-                heapq.heappush(heap, (-e, child_left, seq, hw, v))
-                seq += 1
-                total_err += e
-            total_err += neg_e  # minus the split panel's bound
-            splits += 1
-        self.extra_panels += splits
-
-        rest = order[nxt:]
-        alive_left = np.concatenate([lefts[rest], [h[1] for h in heap]])
-        by_left = np.argsort(alive_left, kind="stable")
-        value = float(np.sum(np.concatenate([i15[rest], [h[4] for h in heap]])[by_left]))
-        total_err = float(np.sum(np.concatenate([err[rest], [-h[0] for h in heap]])[by_left]))
-        if total_err > self.tol:
-            self.unconverged += 1
-        return value, total_err
-
-    def _refine(self, pending, values, bounds):
-        """Run (index, t, _halvings generator) samples in lockstep rounds.  A
-        round splits the next panel of every unfinished sample in one array
-        pass and holds its own node data: evicting can drop a key it reads."""
-        sent = [None] * len(pending)
-        while pending:
-            live, panels = [], []
-            for (i, t, gen), msg in zip(pending, sent):
-                try:
-                    panels.append(gen.send(msg))
-                    live.append((i, t, gen))
-                except StopIteration as done:
-                    values[i], bounds[i] = done.value
-            if not live:
-                break
-            data = {key: self._children.get(key) for key in panels}
+        while True:
+            done = ~(total > self.tol)  # a NaN total stops too
+            if splits >= _MAX_SPLITS or n_base + 2 * splits >= _MAX_PANELS:
+                done[:] = True
+            if done.any():
+                r = np.nonzero(done)[0]
+                # flat positions of each stopped row's panels by left (all distinct)
+                by_left = np.argsort(panels[0, r], axis=1) + (r * panels.shape[2])[:, None]
+                values[index[r]] = panels[2].take(by_left).sum(axis=1)
+                bound = panels[3].take(by_left).sum(axis=1)
+                bounds[index[r]] = bound
+                self.unconverged += int(np.count_nonzero(bound > self.tol))
+                self.extra_panels += splits * r.size
+                self.max_splits = max(self.max_splits, splits)
+                keep = ~done
+                index, times, total, panels = index[keep], times[keep], total[keep], panels[:, keep]
+            if not index.size:
+                return
+            rows = np.arange(index.size)
+            # the split panel: largest bound, then leftmost (never a NaN here:
+            # it would have made the total NaN)
+            largest = panels[3] == panels[3].max(axis=1, keepdims=True)
+            j = np.where(largest, panels[0], math.inf).argmin(axis=1)
+            left, width, _, bound = panels[:, rows, j]
+            keys = list(zip(left.tolist(), width.tolist()))
+            data = {key: self._children.get(key) for key in keys}
             new = [key for key, d in data.items() if d is None]
             if new:  # one _node_data call for the halves of every uncached panel
-                left, width = np.array(new).T
-                hw = 0.5 * width
+                nl, nw = np.array(new).T
+                hw = 0.5 * nw
                 imb, eps = _node_data(
-                    self.protocol, np.stack([left, left + hw], 1).ravel(), np.repeat(hw, 2)
+                    self.protocol, np.stack([nl, nl + hw], 1).ravel(), np.repeat(hw, 2)
                 )
-                for j, key in enumerate(new):
-                    data[key] = imb[2 * j : 2 * j + 2], eps[2 * j : 2 * j + 2]
+                for n, key in enumerate(new):
+                    data[key] = imb[2 * n : 2 * n + 2], eps[2 * n : 2 * n + 2]
                     if 2 * len(self._children) >= _MAX_PANELS:
                         del self._children[next(iter(self._children))]
                     self._children[key] = data[key]
+            halves = (-1, 2, _NODES_X.size)
             v = _log_echo_values(  # (sample x half x node)
-                np.stack([data[key][0] for key in panels]),
-                np.stack([data[key][1] for key in panels]),
-                np.array([t for _, t, _ in live])[:, None, None],
+                np.concatenate([data[key][0] for key in keys]).reshape(halves),
+                np.concatenate([data[key][1] for key in keys]).reshape(halves),
+                times[:, None, None],
             )
-            half = 0.5 * (0.5 * np.array([width for _, width in panels]))
-            i15, err = _panel_sums(half[:, None], v)
-            sent = list(zip(i15.tolist(), err.tolist()))
-            pending = live
+            hw = 0.5 * width
+            ci, ce = _panel_sums(0.5 * hw[:, None], v)
+            total = total + ce[:, 0] + ce[:, 1] - bound  # rounding follows this order
+            panels[1:, rows, j] = hw, ci[:, 0], ce[:, 0]  # child 0 takes the split column
+            child = np.stack([left + hw, hw, ci[:, 1], ce[:, 1]])
+            panels = np.concatenate([panels, child[:, :, None]], axis=2)
+            splits += 1
 
     def evaluate_block(self, times):
         """Integrate at each of a 1-d array of times; returns (values, bounds)."""
         times = np.asarray(times, dtype=float)
         values = np.empty(times.size)
         bounds = np.empty(times.size)
-        # held samples (i15 and err rows, a pop order, a heap: about four panel
-        # rows each) are refined once they fill about one _BLOCK_BYTES, and at the end
+        # held samples (an i15 and an err row each, then four panel rows in
+        # refinement) are refined once they fill about one _BLOCK_BYTES, and at the end
         flush = max(1, _BLOCK_BYTES // (4 * self._half.nbytes))
-        pending = []
+        held, n_held = [], 0
         for lo in range(0, times.size, self._block):
             tb = times[lo : lo + self._block]
-            v = _log_echo_values(self._imb, self._eps, tb[:, None, None])
-            i15, err = _panel_sums(self._half, v)
+            # the (time x panel x node) echoes are gone before refinement runs
+            i15, err = _panel_sums(
+                self._half, _log_echo_values(self._imb, self._eps, tb[:, None, None])
+            )
             total = np.sum(err, axis=-1)
             values[lo : lo + tb.size] = np.sum(i15, axis=-1)
             bounds[lo : lo + tb.size] = total
-            for b in np.nonzero(total > self.tol)[0].tolist():
-                # row copies: views would keep the whole block alive
-                gen = self._halvings(i15[b].copy(), err[b].copy(), float(total[b]))
-                pending.append((lo + b, float(tb[b]), gen))
-            if len(pending) >= flush or lo + self._block >= times.size:
-                self._refine(pending, values, bounds)
-                pending = []
+            over = np.nonzero(total > self.tol)[0]  # fancy indexing copies the rows
+            held.append((lo + over, tb[over], i15[over], err[over], total[over]))
+            n_held += over.size
+            if n_held >= flush or lo + self._block >= times.size:
+                self._refine(held, values, bounds)  # empties held
+                n_held = 0
         return values, bounds
 
     def evaluate(self, t: float):
@@ -294,13 +283,23 @@ def compute_rate_series(
     tol: float = 1e-8,
     diagnostics: dict | None = None,
 ) -> RateSeries:
-    """rate_function swept over a time grid in blocks of times."""
+    """rate_function swept over a time grid in blocks of times.
+
+    diagnostics, if given, receives the refinement splits (extra_panels),
+    the samples left above tol (unconverged_samples), the most splits on
+    one sample (max_splits), and the largest error bound (max_err_bound, a
+    NaN bound counting as the largest) with its time (max_err_bound_t).
+    """
     times = np.asarray(times, dtype=float)
     quad = _RateQuad(protocol, tol)
     values, errors = quad.evaluate_block(times)
     if diagnostics is not None:
+        worst = int(np.argmax(errors)) if errors.size else None  # argmax finds a NaN first
         diagnostics["extra_panels"] = quad.extra_panels
         diagnostics["unconverged_samples"] = quad.unconverged
+        diagnostics["max_splits"] = quad.max_splits
+        diagnostics["max_err_bound"] = math.nan if worst is None else float(errors[worst])
+        diagnostics["max_err_bound_t"] = math.nan if worst is None else float(times[worst])
     return RateSeries(
         times=times,
         values=values,

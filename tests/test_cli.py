@@ -430,3 +430,30 @@ def test_zeros_computes_the_mode_coefficients_once_for_all_branches(tmp_path, mo
     assert len(calls) == 1
     _, rows = read_rows(out)
     assert len(rows) == 2 * 256
+
+
+def test_rate_and_cell_manifests_report_max_splits_and_the_worst_bound(tmp_path):
+    out = tmp_path / "rate.csv"
+    argv = ["--lambda-pre", "0.5", "--lambda-post", "2", "--beta", "1", "--phi", "-pi/2",
+            "--t-min", "5.4", "--t-max", "5.6", "--steps", "21"]
+    assert main(["rate", *argv, "--out", str(out)]) == 0
+    manifest = dict(RunManifest.from_text((tmp_path / "rate.csv.manifest").read_text()).entries)
+    _, rows = read_rows(out)
+    bounds = [float(row[2]) for row in rows]
+    worst = int(np.argmax(bounds))
+    assert float(manifest["rate.max_err_bound"]) == bounds[worst]
+    assert manifest["rate.max_err_bound_t"] == rows[worst][0]
+    splits = int(manifest["rate.max_splits"])
+    assert 0 < splits <= int(manifest["rate.extra_panels"])
+
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(
+        "lambda_pre = 0.5\nlambda_post_list = 2\nbeta_list = 1\nphi_list = -pi/2\n"
+        "t_min = 5.4\nt_max = 5.6\nsteps = 21\n",
+        encoding="utf-8",
+    )
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+    (cell,) = [p for p in (tmp_path / "sweep").iterdir() if p.is_dir()]
+    cell_manifest = dict(RunManifest.from_text((cell / "cell.manifest").read_text()).entries)
+    for key in ("rate.max_splits", "rate.max_err_bound", "rate.max_err_bound_t"):
+        assert cell_manifest[key] == manifest[key]

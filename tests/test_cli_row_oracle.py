@@ -147,57 +147,57 @@ def protocol_flags(protocol):
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_rate_csv_equals_the_old_rows(tmp_path, protocol):
+def test_rate_csv_equals_the_old_rows(tmp_path, protocol, assert_same_csv):
     argv = ["rate", *protocol_flags(protocol), "--t-max=6", "--steps=41"]
     code, text, cfg = run(tmp_path, argv)
     assert code == 0
     _, header, rows = old_rate_rows(_protocol(cfg), cfg)
-    assert text == csv_text(header, rows)
+    assert_same_csv(text, csv_text(header, rows))
 
 
-def test_rate_csv_with_singular_rows_equals_the_old_rows(tmp_path):
+def test_rate_csv_with_singular_rows_equals_the_old_rows(tmp_path, assert_same_csv):
     # a tolerance below the rate's float spacing is never met: every row flagged
     argv = ["rate", *protocol_flags(PROTOCOLS[0]), "--t-min=0.5", "--t-max=2", "--steps=4"]
     code, text, cfg = run(tmp_path, [*argv, "--tol=1e-18"])
     assert code == 3
     _, header, rows = old_rate_rows(_protocol(cfg), cfg)
     assert [r[-1] for r in rows] == ["1"] * 4
-    assert text == csv_text(header, rows)
+    assert_same_csv(text, csv_text(header, rows))
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_zeros_csv_with_two_branches_equals_the_old_rows(tmp_path, protocol):
+def test_zeros_csv_with_two_branches_equals_the_old_rows(tmp_path, protocol, assert_same_csv):
     argv = ["zeros", *protocol_flags(protocol), "--branch", "0", "--branch", "1"]
     code, text, cfg = run(tmp_path, argv)
     assert code == 0 and cfg.branches == (0, 1)
-    assert text == csv_text(*old_zeros_rows(cfg))
+    assert_same_csv(text, csv_text(*old_zeros_rows(cfg)))
 
 
 @pytest.mark.parametrize("variant", ["sinh", "tanh"])
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_critical_modes_csv_equals_the_old_rows(tmp_path, protocol, variant):
+def test_critical_modes_csv_equals_the_old_rows(tmp_path, protocol, variant, assert_same_csv):
     argv = ["critical-modes", *protocol_flags(protocol), "--variant", variant]
     code, text, cfg = run(tmp_path, argv)
     assert code == 0
     _, header, rows = old_critical_rows(_protocol(cfg), cfg)
-    assert text == csv_text(header, rows)
+    assert_same_csv(text, csv_text(header, rows))
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_winding_csv_equals_the_old_rows(tmp_path, protocol):
+def test_winding_csv_equals_the_old_rows(tmp_path, protocol, assert_same_csv):
     code, text, cfg = run(tmp_path, ["winding", *protocol_flags(protocol), "--steps=21"])
     assert code == 0
-    assert text == csv_text(*old_winding_rows(cfg))
+    assert_same_csv(text, csv_text(*old_winding_rows(cfg)))
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_variant_report_csv_equals_the_old_rows(tmp_path, protocol):
+def test_variant_report_csv_equals_the_old_rows(tmp_path, protocol, assert_same_csv):
     code, text, cfg = run(tmp_path, ["variant-report", *protocol_flags(protocol)])
     assert code == 0
-    assert text == csv_text(*old_variant_rows(cfg))
+    assert_same_csv(text, csv_text(*old_variant_rows(cfg)))
 
 
-def test_sweep_index_and_cells_equal_the_old_rows(tmp_path):
+def test_sweep_index_and_cells_equal_the_old_rows(tmp_path, assert_same_csv):
     # beta = inf and 1, phi = +-pi/2; lambda 0.5 -> 0.8 has no critical mode
     cfg_file = tmp_path / "s.cfg"
     cfg_file.write_text(
@@ -217,15 +217,15 @@ def test_sweep_index_and_cells_equal_the_old_rows(tmp_path):
         index_rows.append(old_index_row(cell_cfg, name))
         protocol = _protocol(cell_cfg)
         cs, header, rows = old_critical_rows(protocol, cell_cfg)
-        assert (out / name / "critical_modes.csv").read_text() == csv_text(header, rows)
+        assert_same_csv((out / name / "critical_modes.csv").read_text(), csv_text(header, rows))
         _, header, rows = old_rate_rows(protocol, cell_cfg)
-        assert (out / name / "rate.csv").read_text() == csv_text(header, rows)
+        assert_same_csv((out / name / "rate.csv").read_text(), csv_text(header, rows))
         manifest = dict(RunManifest.from_text((out / name / "cell.manifest").read_text()).entries)
         assert manifest["critical_modes.count"] == str(len(cs.modes))
         for i, r in enumerate(cs.residuals):
             assert manifest[f"critical_modes.residual.{i}"] == old_fmt(r)
     index_header = "cell,beta,phi,lambda_post,n_critical_modes,first_critical_time,cusp_count"
-    assert (out / "index.csv").read_text() == csv_text(index_header.split(","), index_rows)
+    assert_same_csv((out / "index.csv").read_text(), csv_text(index_header.split(","), index_rows))
     assert len(index_rows) == 8 == len(os.listdir(out)) - 2
     assert sum(row[5] == "nan" for row in index_rows) == 4
     assert {row[1] for row in index_rows} == {"inf", "1"}

@@ -325,3 +325,37 @@ def test_variant_report_scans_its_nodes_once(monkeypatch, protocol):
         (r.variant, r.k_star, r.residual, r.residual_other, r.fisher_confirmed) for r in rep.rows
     ]
     assert rows == _per_variant_report_rows(protocol)
+
+
+# perfbench's topology_scan protocol p33 of seed 1222: a sinh root at
+# k = 5.96e-7 where the residual's slope is about -546, so a bracket of
+# 1e-12 in k alone left a residual of -1.66e-10 (tanh: 1.56e-10)
+STEEP = QuenchProtocol(
+    1.0010700230580851, 2.3588705013515847, 0.30413425865837507, -2.517016594847984
+)
+
+
+@pytest.mark.parametrize("variant", ["sinh", "tanh"])
+def test_a_steep_root_is_bisected_to_a_small_residual(variant):
+    cs = critical_modes(STEEP, variant, 0, with_jump_signs=False)
+    assert cs.modes.size == 2 and cs.modes[0] < 1e-6
+    assert np.all(np.abs(cs.residuals) <= 1e-10)
+
+
+def test_variant_report_on_a_steep_root_has_small_residuals():
+    rows = variant_report(STEEP).rows
+    assert len(rows) == 4
+    assert all(abs(r.residual) <= 1e-10 for r in rows)
+    assert sum(r.k_star < 1e-6 for r in rows) == 2
+
+
+def test_the_residual_rule_moves_only_roots_that_need_it(monkeypatch):
+    from dqpt import criticality
+
+    target = 1.234567891
+    gentle = _scan_for_roots(lambda k: 0.5 * (k - target), 4096)
+    steep = _scan_for_roots(lambda k: 1e4 * (k - target), 4096)
+    monkeypatch.setattr(criticality, "_ROOT_RESIDUAL", math.inf)  # the k tolerance alone
+    assert _scan_for_roots(lambda k: 0.5 * (k - target), 4096).tolist() == gentle.tolist()
+    k_only = _scan_for_roots(lambda k: 1e4 * (k - target), 4096)
+    assert abs(1e4 * (k_only[0] - target)) > 1e-10 >= abs(1e4 * (steep[0] - target))

@@ -3,7 +3,8 @@
 The jump test of phase_profile takes gaps by slicing and the largest of
 the three phase jumps per gap in one comparison; before, it used np.diff
 and three comparisons joined by OR.  The oracle below is that earlier
-code, verbatim apart from its names.  The unwrapped profile, its
+code, verbatim apart from its names and the budget on added momenta that
+phase_profile gained later.  The unwrapped profile, its
 refinement count and any UnwrapError must agree bit for bit.  The mode
 coefficients both sides start from are checked against their own first
 form in tests/test_mode_geometry.py.
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dqpt import K_EPS, QuenchProtocol, critical_times, imbalance_roots, mode_coefficients
@@ -60,7 +61,10 @@ def old_phase_profile(
         )
         if not bad.any():
             break
-        if rounds >= _MAX_UNWRAP_ROUNDS:
+        # the momentum budget, as phase_profile has it: stop before a round
+        # would add more than observables._MAX_UNWRAP_MOMENTA in all
+        over_budget = added + int(np.count_nonzero(bad)) > observables._MAX_UNWRAP_MOMENTA
+        if rounds >= _MAX_UNWRAP_ROUNDS or over_budget:
             i = int(np.argmax(bad))  # first offending gap
             raise UnwrapError(
                 0.5 * (k[i] + k[i + 1]), t, _nearest_critical_time(protocol, t)
@@ -134,6 +138,10 @@ gauge_st = st.floats(-2.0, 2.0, **finite).filter(lambda g: abs(g) >= 1e-3)
 
 @given(protocol_st, st.floats(0.0, 8.0, **finite), resolution_st, gauge_st)
 @settings(deadline=None, max_examples=400)
+# 3.7e-4 before this protocol's first critical time 91450.2098: the momentum
+# budget stops refinement at k = 2.435e-5; without it, 32 rounds reach
+# k = 1.397e-5
+@example(QuenchProtocol(2.0, 0.99999, 1.0, -1.0), 91450.20944400439, 64, 1.0)
 def test_profile_bitwise_equal_to_the_earlier_implementation(protocol, t, k_resolution, gauge):
     assert_same_outcome(protocol, t, k_resolution, gauge)
 

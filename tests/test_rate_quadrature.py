@@ -151,3 +151,51 @@ def test_node_cache_stays_bounded_inside_a_round(monkeypatch):
     pointwise = np.array([rate_function(FIG3, float(t), tol=1e-18) for t in times])
     assert np.array_equal(series.values.view(np.int64), pointwise[:, 0].view(np.int64))
     assert np.array_equal(series.estimated_error.view(np.int64), pointwise[:, 1].view(np.int64))
+
+
+def test_max_splits_and_the_worst_bound_in_the_diagnostics():
+    times = np.linspace(5.4, 5.6, 41)
+    diag = {}
+    series = compute_rate_series(FIG3, times, diagnostics=diag)
+    # each sample's splits, one time at a time through one evaluator
+    quad = _RateQuad(FIG3)
+    per_sample = []
+    for t in times:
+        before = quad.extra_panels
+        quad.evaluate(float(t))
+        per_sample.append(quad.extra_panels - before)
+    assert diag["max_splits"] == max(per_sample) > 0
+    assert diag["extra_panels"] == sum(per_sample)
+    worst = int(np.argmax(series.estimated_error))
+    assert diag["max_err_bound"] == series.estimated_error[worst] == series.estimated_error.max()
+    assert diag["max_err_bound_t"] == times[worst]
+
+
+def test_max_splits_reads_the_split_cap(monkeypatch):
+    monkeypatch.setattr(observables, "_MAX_SPLITS", 7)
+    diag = {}
+    compute_rate_series(FIG3, np.linspace(5.4, 5.6, 5), tol=1e-18, diagnostics=diag)
+    assert diag["max_splits"] == 7
+    assert diag["unconverged_samples"] == 5
+
+
+def test_a_nan_bound_is_the_worst_bound(monkeypatch):
+    def nan_at_2(self, times):
+        errors = np.full(times.size, 1e-9)
+        errors[2] = math.nan
+        errors[3] = 1.0
+        return np.zeros(times.size), errors
+
+    monkeypatch.setattr(_RateQuad, "evaluate_block", nan_at_2)
+    diag = {}
+    compute_rate_series(STANDARD, np.linspace(0.0, 1.0, 5), diagnostics=diag)
+    assert math.isnan(diag["max_err_bound"])
+    assert diag["max_err_bound_t"] == 0.5
+
+
+def test_an_empty_grid_has_no_worst_bound():
+    diag = {}
+    series = compute_rate_series(STANDARD, np.empty(0), diagnostics=diag)
+    assert series.values.size == 0
+    assert diag["max_splits"] == diag["extra_panels"] == 0
+    assert math.isnan(diag["max_err_bound"]) and math.isnan(diag["max_err_bound_t"])

@@ -180,3 +180,45 @@ def test_the_caps_stop_refinement_as_before(binding):
     splits = 25 if binding == "_MAX_SPLITS" else 15
     assert quad.extra_panels == times.size * splits
     assert quad.unconverged == times.size
+
+
+def test_a_full_fig3_cell_equals_the_per_sample_refinement():
+    # configs/fig3.cfg at beta 0.1, phi -pi/2: its whole time grid
+    protocol = QuenchProtocol(0.5, 2.0, 0.1, -math.pi / 2)
+    quad = assert_same_refinement(protocol, np.linspace(0.0, 6.0, 2401), 1e-8)
+    assert quad.extra_panels > 200
+
+
+def _synthetic_panel_sums(half, v):
+    # child 0 gets bound 0.5, child 1 bound 1.0: ties with the base panels'
+    # bound 1.0 between panels of different columns and lefts
+    i15 = np.multiply(half, [1.0, 3.0])
+    return i15, np.broadcast_to([0.5, 1.0], i15.shape).copy()
+
+
+def test_equal_bounds_split_the_leftmost_panel_as_the_heap_did():
+    # synthetic base rows of equal bounds, refined with synthetic halves:
+    # every round has ties, and child 1 of a split sits in a later column
+    # than base panels to its right, so only "largest bound, then leftmost"
+    # gives the heap's order
+    quad, old = _RateQuad(FIG3), OldRateQuad(FIG3)
+    n_base = quad._lefts.size
+    err = np.ones((3, n_base))
+    err[1, 10] = 2.0
+    err[2, -1] = 1.5
+    i15 = np.arange(3 * n_base, dtype=float).reshape(3, n_base)
+    times = np.array([1.0, 2.0, 3.0])
+    total = np.sum(err, axis=1)
+    values, bounds = np.empty(3), np.empty(3)
+    caps = {"_MAX_SPLITS": 12}
+    with (
+        mock.patch.multiple(observables, _panel_sums=_synthetic_panel_sums, **caps),
+        mock.patch.dict(globals(), {"_panel_sums": _synthetic_panel_sums, **caps}),
+    ):
+        held = [(np.arange(3), times, i15.copy(), err.copy(), total.copy())]
+        quad._refine(held, values, bounds)
+        expected = [old._refine(t, i15[s], err[s], float(total[s])) for s, t in enumerate(times)]
+    assert values.tolist() == [v for v, _ in expected]
+    assert bounds.tolist() == [b for _, b in expected]
+    assert quad.extra_panels == old.extra_panels == 3 * 12
+    assert quad.max_splits == 12

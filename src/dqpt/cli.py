@@ -584,6 +584,9 @@ def main(argv=None) -> int:
     except MemoryError:  # the atomic writers have removed any partial output
         print(f"dqpt: out of memory in {args.task}; reduce --steps or --n-sites", file=sys.stderr)
         return 2
+    except OSError as exc:  # an unwritable --out; no partial output, as above
+        print(f"dqpt: {args.task}: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

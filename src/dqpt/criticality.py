@@ -10,6 +10,8 @@ Winding jumps follow in closed form: near a root k* of the imbalance A and
 a rung t*_n of its ladder the amplitude G ~ (-1)^n [-eps' (t - t*) +
 (k - k*) (i A'(k*) - t* d eps'/dk)] passes 0 on opposite sides before and
 after t*, so the winding number steps by -sign A'(k*) at every rung.
+critical_modes reads it off the root scan's bracket for free, so
+with_jump_signs=False is kept for its callers and saves nothing.
 """
 
 from __future__ import annotations
@@ -110,13 +112,13 @@ def _variant_residual(protocol: QuenchProtocol, k, variant: str, coeffs=None):
     return float(out) if np.ndim(k) == 0 else out
 
 
-def _scan_nodes(n_panels: int, shift: float = 0.0) -> np.ndarray:
+def _scan_nodes(shift: float = 0.0) -> np.ndarray:
     # uniform interior nodes, optionally shifted, plus geometric
     # densification toward both endpoints so roots within ~1e-3 of the
     # edges are still bracketed
-    interior = np.linspace(0.0, math.pi, n_panels + 1)[1:-1]
+    interior = np.linspace(0.0, math.pi, _SCAN_PANELS + 1)[1:-1]
     if shift:
-        interior = interior + shift * (math.pi / n_panels)
+        interior = interior + shift * (math.pi / _SCAN_PANELS)
     lead = np.geomspace(K_EPS, interior[0], 48, endpoint=False)
     tail = math.pi - np.geomspace(K_EPS, math.pi - interior[-1], 48, endpoint=False)
     return np.concatenate([lead, interior, np.sort(tail)])
@@ -139,42 +141,39 @@ def _bisect(fn, a: float, b: float, fa: float, fb: float) -> float:
     return 0.5 * (a + b)
 
 
-def _scan_for_roots(fn, n_panels: int, vals=None) -> np.ndarray:
-    """Dense sign scan over (0, pi) followed by bisection.
+def _scan_for_roots(fn, vals=None):
+    """Dense sign scan over (0, pi) followed by bisection; (roots, falls).
 
     fn must accept momentum arrays.  An exact zero on a grid node triggers
     one re-scan on a shifted grid so every root is found through a genuine
-    sign change.  vals, if given, must be fn(_scan_nodes(n_panels)).
+    sign change.  vals, if given, must be fn(_scan_nodes()).  falls[i]: fn
+    is > 0 at the left end of roots[i]'s bracket, which bisection keeps.
     """
-    nodes = _scan_nodes(n_panels)
+    nodes = _scan_nodes()
     vals = np.asarray(fn(nodes) if vals is None else vals)
     if np.any(vals == 0.0):
-        nodes = _scan_nodes(n_panels, shift=0.37)
+        nodes = _scan_nodes(shift=0.37)
         vals = np.asarray(fn(nodes))
         if np.any(vals == 0.0):  # twice in a row is not coincidence
-            return np.sort(nodes[vals == 0.0])
-    idx = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
+            at = np.flatnonzero(vals == 0.0)
+            pad = np.pad(vals, 1, mode="edge")  # node i's neighbours: pad[i], pad[i + 2]
+            return nodes[at], pad[at] > pad[at + 2]
+    idx = np.flatnonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))
     scalar = lambda k: float(fn(k))
     roots = [
         _bisect(scalar, nodes[i], nodes[i + 1], float(vals[i]), float(vals[i + 1])) for i in idx
     ]
-    return np.asarray(roots, dtype=float)
+    return np.asarray(roots, dtype=float), vals[idx] > 0.0
 
 
 def imbalance_roots(protocol: QuenchProtocol) -> np.ndarray:
     """Momenta in (0, pi) where the population imbalance vanishes."""
-    return _scan_for_roots(lambda k: _variant_residual(protocol, k, "sinh"), _SCAN_PANELS)
+    return _scan_for_roots(lambda k: _variant_residual(protocol, k, "sinh"))[0]
 
 
 def _ladder(n, eps):
     # rung n of a mode's critical times, and Im z of its Fisher branch n
     return (2.0 * n + 1.0) * math.pi / (2.0 * eps)
-
-
-def _straddle(protocol: QuenchProtocol, k_star: float, variant: str):
-    # the variant's residual just left and just right of k_star
-    h = min(1e-6, 0.5 * k_star, 0.5 * (math.pi - k_star))
-    return tuple(float(_variant_residual(protocol, k, variant)) for k in (k_star - h, k_star + h))
 
 
 def critical_times(protocol: QuenchProtocol, k_star: float, n_max: int) -> np.ndarray:
@@ -199,15 +198,12 @@ def critical_modes(
     dynamical transition).  A mode's jump sign is -sign of the residual's
     slope at the root (see the module docstring): for sinh the winding jump
     at every rung of its ladder; for tanh what that condition predicts.
-    with_jump_signs=False leaves them None.
+    with_jump_signs=False leaves them None and saves nothing.
     """
     _check_variant(variant)
-    roots = _scan_for_roots(lambda k: _variant_residual(protocol, k, variant), _SCAN_PANELS)
+    roots, falls = _scan_for_roots(lambda k: _variant_residual(protocol, k, variant))
     residuals = np.asarray([float(_variant_residual(protocol, r, variant)) for r in roots])
-    signs: list = [None] * len(roots)
-    if with_jump_signs:
-        straddles = [_straddle(protocol, float(r), variant) for r in roots]
-        signs = [1 if left > right else -1 for left, right in straddles]
+    signs = [1 if f else -1 for f in falls] if with_jump_signs else [None] * len(roots)
     return CriticalSet(
         modes=roots,
         times=[critical_times(protocol, r, n_max) for r in roots],
@@ -249,34 +245,24 @@ def fisher_zero_line(protocol: QuenchProtocol, branch_n: int, k_samples, coeffs=
     )
 
 
-def _sign_change_at(protocol: QuenchProtocol, k_star: float) -> bool:
-    # the line's Re z changes sign across k_star iff the imbalance does
-    left, right = _straddle(protocol, k_star, "sinh")
-    return (left < 0.0) != (right < 0.0)
-
-
 def variant_report(protocol: QuenchProtocol) -> VariantReport:
     """Roots of both condition variants side by side.
 
     Each row carries the root's residual in its own equation, its residual
     in the other variant's equation, and whether the Fisher line actually
-    changes sign there.
+    changes sign there: Re z does iff the imbalance does, iff an odd
+    number of sinh roots lie within h = min(1e-6, k*/2, (pi - k*)/2).
     """
-    nodes = _scan_nodes(_SCAN_PANELS)
+    nodes = _scan_nodes()
     scan = mode_coefficients(protocol, nodes)  # both variants scan the same nodes
-    rows = []
-    for variant in VARIANTS:
+    rows, found = [], {}
+    for variant in VARIANTS:  # sinh first: its roots confirm every row
         other = "tanh" if variant == "sinh" else "sinh"
         fn = lambda k: _variant_residual(protocol, k, variant)
-        vals = _variant_residual(protocol, nodes, variant, scan)
-        for r in _scan_for_roots(fn, _SCAN_PANELS, vals):
-            rows.append(
-                VariantRow(
-                    variant=variant,
-                    k_star=float(r),
-                    residual=float(fn(r)),
-                    residual_other=float(_variant_residual(protocol, r, other)),
-                    fisher_confirmed=_sign_change_at(protocol, float(r)),
-                )
-            )
+        found[variant], _ = _scan_for_roots(fn, _variant_residual(protocol, nodes, variant, scan))
+        for r in found[variant]:
+            h = min(1e-6, 0.5 * r, 0.5 * (math.pi - r))
+            confirmed = bool(np.count_nonzero(abs(found["sinh"] - r) < h) % 2)
+            residual_other = float(_variant_residual(protocol, r, other))
+            rows.append(VariantRow(variant, float(r), float(fn(r)), residual_other, confirmed))
     return VariantReport(rows=rows, protocol=protocol)

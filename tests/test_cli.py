@@ -457,3 +457,36 @@ def test_rate_and_cell_manifests_report_max_splits_and_the_worst_bound(tmp_path)
     cell_manifest = dict(RunManifest.from_text((cell / "cell.manifest").read_text()).entries)
     for key in ("rate.max_splits", "rate.max_err_bound", "rate.max_err_bound_t"):
         assert cell_manifest[key] == manifest[key]
+
+
+def assert_unwritable_exit_2(tmp_path, capsys, argv):
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dqpt:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_rate_into_a_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert_unwritable_exit_2(tmp_path, capsys, ["rate", "--steps", "3", "--out", str(out)])
+    assert not (tmp_path / "missing").exists()
+
+
+def test_rate_below_a_regular_file_exits_2(tmp_path, capsys):
+    plain = tmp_path / "plain"
+    plain.write_text("keep me\n", encoding="utf-8")
+    argv = ["rate", "--steps", "3", "--out", str(plain / "x.csv")]
+    assert_unwritable_exit_2(tmp_path, capsys, argv)
+
+
+def test_sweep_onto_a_regular_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("beta_list = 10, 0.1\nsteps = 11\n", encoding="utf-8")
+    plain = tmp_path / "plain"
+    plain.write_text("keep me\n", encoding="utf-8")
+    argv = ["sweep", "--config", str(cfg), "--out", str(plain)]
+    assert_unwritable_exit_2(tmp_path, capsys, argv)
+    assert plain.is_file()

@@ -98,8 +98,8 @@ class TestImbalanceRoots:
         assert np.array_equal(imbalance_roots(p), imbalance_roots(p))
 
     def test_root_sitting_exactly_on_a_scan_node_is_found(self):
-        target = float(_scan_nodes(4096)[1234])
-        roots = _scan_for_roots(lambda k: k - target, 4096)
+        target = float(_scan_nodes()[1234])
+        roots = _scan_for_roots(lambda k: k - target)[0]
         assert roots.shape == (1,)
         assert roots[0] == pytest.approx(target, abs=1e-9)
 
@@ -280,7 +280,17 @@ class TestVariantReport:
 
 def _per_variant_report_rows(protocol):
     # variant_report as it was, one critical_modes scan per variant
-    from dqpt.criticality import VARIANTS, _sign_change_at, _variant_residual
+    from dqpt.criticality import VARIANTS, _variant_residual
+
+    def _straddle(protocol: QuenchProtocol, k_star: float, variant: str):
+        # the variant's residual just left and just right of k_star
+        h = min(1e-6, 0.5 * k_star, 0.5 * (math.pi - k_star))
+        return tuple(float(_variant_residual(protocol, k, variant)) for k in (k_star - h, k_star + h))
+
+    def _sign_change_at(protocol: QuenchProtocol, k_star: float) -> bool:
+        # the line's Re z changes sign across k_star iff the imbalance does
+        left, right = _straddle(protocol, k_star, "sinh")
+        return (left < 0.0) != (right < 0.0)
 
     rows = []
     for variant in VARIANTS:
@@ -313,7 +323,7 @@ VARIANT_PROTOCOLS = [
 def test_variant_report_scans_its_nodes_once(monkeypatch, protocol):
     from dqpt import criticality
 
-    scan_size = _scan_nodes(4096).size
+    scan_size = _scan_nodes().size
     sizes = []
     orig = criticality.mode_coefficients
     monkeypatch.setattr(
@@ -353,9 +363,9 @@ def test_the_residual_rule_moves_only_roots_that_need_it(monkeypatch):
     from dqpt import criticality
 
     target = 1.234567891
-    gentle = _scan_for_roots(lambda k: 0.5 * (k - target), 4096)
-    steep = _scan_for_roots(lambda k: 1e4 * (k - target), 4096)
+    gentle = _scan_for_roots(lambda k: 0.5 * (k - target))[0]
+    steep = _scan_for_roots(lambda k: 1e4 * (k - target))[0]
     monkeypatch.setattr(criticality, "_ROOT_RESIDUAL", math.inf)  # the k tolerance alone
-    assert _scan_for_roots(lambda k: 0.5 * (k - target), 4096).tolist() == gentle.tolist()
-    k_only = _scan_for_roots(lambda k: 1e4 * (k - target), 4096)
+    assert _scan_for_roots(lambda k: 0.5 * (k - target))[0].tolist() == gentle.tolist()
+    k_only = _scan_for_roots(lambda k: 1e4 * (k - target))[0]
     assert abs(1e4 * (k_only[0] - target)) > 1e-10 >= abs(1e4 * (steep[0] - target))

@@ -75,6 +75,8 @@ def parse_number(text) -> float:
         sign = -1.0 if m.group(1) == "-" else 1.0
         num = float(m.group(2)) if m.group(2) else 1.0
         den = float(m.group(3)) if m.group(3) else 1.0
+        if den == 0.0:
+            raise ConfigError(f"cannot parse number {text!r}: division by zero")
         return sign * num * math.pi / den
     try:
         return float(s)
@@ -320,14 +322,8 @@ def _task_rate(cfg, warnings):
     if singular:
         warnings.append(f"{singular} rate samples singular or above tolerance")
     columns = (series.times, series.values, series.estimated_error, bad)
-    diag = [
-        ("rate.extra_panels", diag_in["extra_panels"]),
-        ("rate.unconverged_samples", diag_in["unconverged_samples"]),
-        ("rate.max_splits", diag_in["max_splits"]),
-        ("rate.max_err_bound", diag_in["max_err_bound"]),
-        ("rate.max_err_bound_t", diag_in["max_err_bound_t"]),
-        ("rate.singular_rows", singular),
-    ]
+    diag = [("rate." + key, value) for key, value in diag_in.items()]
+    diag.append(("rate.singular_rows", singular))
     return series, zip(*(c.tolist() for c in columns)), diag, singular > 0
 
 
@@ -511,8 +507,12 @@ def _run_sweep(cfg: RunConfig) -> int:
         )
 
     out_dir = cfg.out or "sweep_out"
-    payloads = []
+    payloads, names = [], set()
     for beta, phi, lambda_post in cells:
+        name = _cell_name(beta, phi, lambda_post)
+        if name in names:  # the name keeps 6 decimals, so distinct values can share it
+            raise ConfigError(f"cell {name}: another cell has the same directory name")
+        names.add(name)
         cell_cfg = dataclasses.replace(
             cfg,
             beta=beta,
@@ -526,8 +526,8 @@ def _run_sweep(cfg: RunConfig) -> int:
         try:
             _protocol(cell_cfg)
         except ValueError as exc:
-            raise ConfigError(f"cell {_cell_name(beta, phi, lambda_post)}: {exc}") from None
-        payloads.append((cell_cfg, os.path.join(out_dir, _cell_name(beta, phi, lambda_post))))
+            raise ConfigError(f"cell {name}: {exc}") from None
+        payloads.append((cell_cfg, os.path.join(out_dir, name)))
     os.makedirs(out_dir, exist_ok=True)  # only once every cell is valid: exit 2 writes nothing
 
     workers = min(cfg.jobs, len(payloads))  # a pool forks all its workers up front

@@ -112,13 +112,10 @@ def _variant_residual(protocol: QuenchProtocol, k, variant: str, coeffs=None):
     return float(out) if np.ndim(k) == 0 else out
 
 
-def _scan_nodes(shift: float = 0.0) -> np.ndarray:
-    # uniform interior nodes, optionally shifted, plus geometric
-    # densification toward both endpoints so roots within ~1e-3 of the
-    # edges are still bracketed
+def _scan_nodes() -> np.ndarray:
+    # uniform interior nodes plus geometric densification toward both
+    # endpoints so roots within ~1e-3 of the edges are still bracketed
     interior = np.linspace(0.0, math.pi, _SCAN_PANELS + 1)[1:-1]
-    if shift:
-        interior = interior + shift * (math.pi / _SCAN_PANELS)
     lead = np.geomspace(K_EPS, interior[0], 48, endpoint=False)
     tail = math.pi - np.geomspace(K_EPS, math.pi - interior[-1], 48, endpoint=False)
     return np.concatenate([lead, interior, np.sort(tail)])
@@ -144,26 +141,22 @@ def _bisect(fn, a: float, b: float, fa: float, fb: float) -> float:
 def _scan_for_roots(fn, vals=None):
     """Dense sign scan over (0, pi) followed by bisection; (roots, falls).
 
-    fn must accept momentum arrays.  An exact zero on a grid node triggers
-    one re-scan on a shifted grid so every root is found through a genuine
-    sign change.  vals, if given, must be fn(_scan_nodes()).  falls[i]: fn
-    is > 0 at the left end of roots[i]'s bracket, which bisection keeps.
+    fn must accept momentum arrays; vals, if given, must be fn(_scan_nodes()).
+    An exact zero counts as no sign: a root is a sign change between
+    neighbouring nonzero nodes, so bisection meets a crossing zero, and a
+    tangent or end-node zero is no root.  falls[i]: fn is > 0 at the left
+    end of roots[i]'s bracket, which bisection keeps.
     """
     nodes = _scan_nodes()
     vals = np.asarray(fn(nodes) if vals is None else vals)
-    if np.any(vals == 0.0):
-        nodes = _scan_nodes(shift=0.37)
-        vals = np.asarray(fn(nodes))
-        if np.any(vals == 0.0):  # twice in a row is not coincidence
-            at = np.flatnonzero(vals == 0.0)
-            pad = np.pad(vals, 1, mode="edge")  # node i's neighbours: pad[i], pad[i + 2]
-            return nodes[at], pad[at] > pad[at + 2]
-    idx = np.flatnonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))
+    nz = np.flatnonzero(vals)
+    change = np.signbit(vals[nz[:-1]]) != np.signbit(vals[nz[1:]])
+    lo, hi = nz[:-1][change], nz[1:][change]
     scalar = lambda k: float(fn(k))
     roots = [
-        _bisect(scalar, nodes[i], nodes[i + 1], float(vals[i]), float(vals[i + 1])) for i in idx
+        _bisect(scalar, nodes[i], nodes[j], float(vals[i]), float(vals[j])) for i, j in zip(lo, hi)
     ]
-    return np.asarray(roots, dtype=float), vals[idx] > 0.0
+    return np.asarray(roots, dtype=float), vals[lo] > 0.0
 
 
 def imbalance_roots(protocol: QuenchProtocol) -> np.ndarray:

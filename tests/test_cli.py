@@ -41,7 +41,7 @@ class TestParseNumber:
     def test_infinity_tokens(self, text):
         assert math.isinf(parse_number(text))
 
-    @pytest.mark.parametrize("text", ["abc", "pie", "2*pi*3", "", "pi/", "1/2"])
+    @pytest.mark.parametrize("text", ["abc", "pie", "2*pi*3", "", "pi/", "1/2", "pi/0", "-3pi/0.0"])
     def test_rejects_garbage(self, text):
         with pytest.raises(ConfigError):
             parse_number(text)
@@ -459,7 +459,7 @@ def test_rate_and_cell_manifests_report_max_splits_and_the_worst_bound(tmp_path)
         assert cell_manifest[key] == manifest[key]
 
 
-def assert_unwritable_exit_2(tmp_path, capsys, argv):
+def assert_exit_2_writes_nothing(tmp_path, capsys, argv):
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -471,7 +471,7 @@ def assert_unwritable_exit_2(tmp_path, capsys, argv):
 
 def test_rate_into_a_missing_directory_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
-    assert_unwritable_exit_2(tmp_path, capsys, ["rate", "--steps", "3", "--out", str(out)])
+    assert_exit_2_writes_nothing(tmp_path, capsys, ["rate", "--steps", "3", "--out", str(out)])
     assert not (tmp_path / "missing").exists()
 
 
@@ -479,7 +479,7 @@ def test_rate_below_a_regular_file_exits_2(tmp_path, capsys):
     plain = tmp_path / "plain"
     plain.write_text("keep me\n", encoding="utf-8")
     argv = ["rate", "--steps", "3", "--out", str(plain / "x.csv")]
-    assert_unwritable_exit_2(tmp_path, capsys, argv)
+    assert_exit_2_writes_nothing(tmp_path, capsys, argv)
 
 
 def test_sweep_onto_a_regular_file_exits_2(tmp_path, capsys):
@@ -488,5 +488,29 @@ def test_sweep_onto_a_regular_file_exits_2(tmp_path, capsys):
     plain = tmp_path / "plain"
     plain.write_text("keep me\n", encoding="utf-8")
     argv = ["sweep", "--config", str(cfg), "--out", str(plain)]
-    assert_unwritable_exit_2(tmp_path, capsys, argv)
+    assert_exit_2_writes_nothing(tmp_path, capsys, argv)
     assert plain.is_file()
+
+
+@pytest.mark.parametrize("in_file", [False, True], ids=["flag", "config"])
+def test_pi_over_zero_exits_2(tmp_path, capsys, in_file):
+    out = tmp_path / "x.csv"
+    if in_file:
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("phi = pi/0\n", encoding="utf-8")
+        argv = ["rate", "--config", str(cfg), "--steps", "3", "--out", str(out)]
+    else:
+        argv = ["rate", "--phi", "pi/0", "--steps", "3", "--out", str(out)]
+    assert_exit_2_writes_nothing(tmp_path, capsys, argv)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("betas", ["1e-7, 2e-7", "1, 1"])
+def test_sweep_cells_sharing_a_directory_name_exit_2(tmp_path, capsys, betas):
+    # cell names keep 6 decimals: 1e-7 and 2e-7 are both beta=0.000000
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"beta_list = {betas}\nsteps = 11\n", encoding="utf-8")
+    out = tmp_path / "never"
+    argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+    assert_exit_2_writes_nothing(tmp_path, capsys, argv)
+    assert not out.exists()

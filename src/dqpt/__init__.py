@@ -4,89 +4,16 @@ dynamical topological order parameter, and critical-mode diagnostics."""
 
 __version__ = "0.1.0"
 
-from .model import (
-    ModeGrid,
-    QuenchProtocol,
-    bogoliubov_angle,
-    delta_theta,
-    dispersion,
-    mode_grid,
-)
-from .mode_dynamics import (
-    ModeCoefficients,
-    boundary_partition,
-    evolution_operator,
-    mode_amplitude,
-    mode_amplitude_oracle,
-    mode_coefficients,
-    mode_echo,
-    mode_eigenvectors,
-    null_work_decomposition,
-)
-from .criticality import (
-    VARIANTS,
-    CriticalSet,
-    FisherLine,
-    VariantReport,
-    VariantRow,
-    critical_modes,
-    critical_times,
-    fisher_zero_line,
-    imbalance_roots,
-    variant_report,
-)
-from .observables import (
-    K_EPS,
-    PhaseProfile,
-    RateSeries,
-    UnwrapError,
-    compute_rate_series,
-    compute_rate_series_finite,
-    critical_rate_function,
-    detect_cusps,
-    phase_profile,
-    rate_function,
-    rate_function_finite,
-    winding_number,
-)
+from .model import *  # noqa: F403
+from .mode_dynamics import *  # noqa: F403
+from .criticality import *  # noqa: F403
+from .observables import *  # noqa: F403
+from . import criticality, mode_dynamics, model, observables
 
 __all__ = [
     "__version__",
-    "ModeGrid",
-    "QuenchProtocol",
-    "bogoliubov_angle",
-    "delta_theta",
-    "dispersion",
-    "mode_grid",
-    "ModeCoefficients",
-    "boundary_partition",
-    "evolution_operator",
-    "mode_amplitude",
-    "mode_amplitude_oracle",
-    "mode_coefficients",
-    "mode_echo",
-    "mode_eigenvectors",
-    "null_work_decomposition",
-    "VARIANTS",
-    "CriticalSet",
-    "FisherLine",
-    "VariantReport",
-    "VariantRow",
-    "critical_modes",
-    "critical_times",
-    "fisher_zero_line",
-    "imbalance_roots",
-    "variant_report",
-    "K_EPS",
-    "PhaseProfile",
-    "RateSeries",
-    "UnwrapError",
-    "compute_rate_series",
-    "compute_rate_series_finite",
-    "critical_rate_function",
-    "detect_cusps",
-    "phase_profile",
-    "rate_function",
-    "rate_function_finite",
-    "winding_number",
+    *model.__all__,
+    *mode_dynamics.__all__,
+    *criticality.__all__,
+    *observables.__all__,
 ]

@@ -34,6 +34,7 @@ from .mode_dynamics import (  # noqa: F401 (perfbench traces null_work_decomposi
 from .model import QuenchProtocol, mode_grid
 from .observables import (
     _BLOCK_BYTES,
+    RateSeries,
     UnwrapError,
     _base_grid,
     compute_rate_series,
@@ -199,9 +200,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"unknown task {cfg.task!r}")
     if cfg.variant not in VARIANTS:
         raise ConfigError(f"variant must be {' or '.join(VARIANTS)}, got {cfg.variant!r}")
-    min_steps = 5 if cfg.task == "sweep" else 2  # a sweep's cusp detection needs 5
-    if cfg.steps < min_steps:
-        raise ConfigError(f"steps must be >= {min_steps}, got {cfg.steps}")
+    if cfg.steps < 2:
+        raise ConfigError(f"steps must be >= 2, got {cfg.steps}")
     if not -math.inf < cfg.t_min < cfg.t_max < math.inf:
         raise ConfigError(f"need finite t_min < t_max, got [{cfg.t_min}, {cfg.t_max}]")
     if not 0.0 < cfg.tol < math.inf:
@@ -219,9 +219,17 @@ def _validate(cfg: RunConfig):
     if not cfg.branches:
         raise ConfigError("need at least one branch")
     try:
-        _protocol(cfg)
+        protocol = _protocol(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    try:  # the grid must pass the library's own checks: increasing, and uniform for cusps
+        with np.errstate(all="ignore"):  # an overflowing window gives NaN times, rejected here
+            grid = RateSeries(_times(cfg), np.zeros(cfg.steps), "quadrature", protocol)
+        if cfg.task == "sweep":
+            detect_cusps(grid)
+    except ValueError as exc:
+        window = f"[{cfg.t_min}, {cfg.t_max}] in {cfg.steps} steps"
+        raise ConfigError(f"time window {window}: {exc}") from None
 
 
 def _protocol(cfg: RunConfig) -> QuenchProtocol:

@@ -35,6 +35,7 @@ __all__ = [
     "imbalance_roots",
     "fisher_zero_line",
     "variant_report",
+    "VARIANTS",
 ]
 
 VARIANTS = ("sinh", "tanh")

@@ -22,6 +22,7 @@ __all__ = [
     "dispersion",
     "bogoliubov_angle",
     "delta_theta",
+    "K_EPS",
 ]
 
 K_EPS = 1e-9  # sampled momenta stay this far inside the open zone (0, pi)
@@ -70,6 +71,9 @@ class QuenchProtocol:
         j = float(self.coupling)
         if not math.isfinite(j) or j <= 0.0:
             raise ValueError(f"coupling must be positive, got {j!r}")
+        if not math.isfinite(j * (max(self.lambda_pre, self.lambda_post) + 1.0)):
+            # the bound on every mode energy; an overflow makes t*_0 zero
+            raise ValueError(f"coupling {j!r} overflows the mode energies")
         object.__setattr__(self, "coupling", j)
 
 

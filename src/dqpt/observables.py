@@ -31,7 +31,6 @@ __all__ = [
     "phase_profile",
     "winding_number",
     "detect_cusps",
-    "K_EPS",
 ]
 
 _RATE_METHODS = ("quadrature", "finite_N")
@@ -74,8 +73,8 @@ _GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
 # every panel carries both rules' nodes in one row: 15 Gauss-Legendre, then 7
 _NODES_X = np.concatenate([_GL15_X, _GL7_X])
 
-_MAX_PANELS = 16384
-_MAX_SPLITS = 4096
+_MAX_PANELS = 16384  # child panels the refinement node cache holds
+_MAX_SPLITS = 4096  # refinement splits per sample
 _BLOCK_BYTES = 1 << 18  # size of one (time x panel x node) temporary
 
 
@@ -167,11 +166,11 @@ class _RateQuad:
         """Refine the held samples, blocks of (index, time, i15 row, err row,
         summed bound) that it empties; writes their values and bounds at index.
 
-        A sample stops once its running bound is within tol or a cap is
-        reached; every sample still refining has split once per round, so
-        those that stop together are summed in left order as one array and
-        dropped.  A round holds its own node data: evicting can drop a key
-        it reads."""
+        A sample stops once its running bound is within tol or it has split
+        _MAX_SPLITS times; every sample still refining has split once per
+        round, so those that stop together are summed in left order as one
+        array and dropped.  A round holds its own node data: evicting can
+        drop a key it reads."""
         n_base = self._lefts.size
         index, times, total = (np.concatenate([h[q] for h in held]) for q in (0, 1, 4))
         # (left, width, GL15 value, bound) x sample x live panel
@@ -183,7 +182,7 @@ class _RateQuad:
         splits = 0
         while True:
             done = ~(total > self.tol)  # a NaN total stops too
-            if splits >= _MAX_SPLITS or n_base + 2 * splits >= _MAX_PANELS:
+            if splits >= _MAX_SPLITS:
                 done[:] = True
             if done.any():
                 r = np.nonzero(done)[0]

@@ -514,3 +514,58 @@ def test_sweep_cells_sharing_a_directory_name_exit_2(tmp_path, capsys, betas):
     argv = ["sweep", "--config", str(cfg), "--out", str(out)]
     assert_exit_2_writes_nothing(tmp_path, capsys, argv)
     assert not out.exists()
+
+
+# windows whose linspace floating point cannot make strictly increasing: two
+# steps one ulp apart repeat a time, and a span past the largest float
+# overflows to NaN times
+ULP_WINDOW = ["--t-min", "1", "--t-max", "1.0000000000000002", "--steps", "3"]
+OVERFLOW_WINDOW = ["--t-min", "-1e308", "--t-max", "1e308", "--steps", "3"]
+
+
+@pytest.mark.parametrize(
+    "task,window",
+    [
+        ("rate", ULP_WINDOW),
+        ("rate", OVERFLOW_WINDOW),
+        ("rate-finite", ULP_WINDOW),
+        ("rate-finite", OVERFLOW_WINDOW),
+        ("winding", ULP_WINDOW),
+        ("winding", OVERFLOW_WINDOW),
+        ("echo-decomposition", OVERFLOW_WINDOW),
+    ],
+    ids=["rate-ulp", "rate-overflow", "finite-ulp", "finite-overflow", "winding-ulp",
+         "winding-overflow", "echo-overflow"],
+)
+def test_a_time_grid_that_is_not_increasing_exits_2(tmp_path, capsys, task, window):
+    out = tmp_path / "x.csv"
+    argv = [task, *window, "--n-sites", "4", "--out", str(out)]
+    assert_exit_2_writes_nothing(tmp_path, capsys, argv)
+    assert not out.exists()
+
+
+def test_a_time_grid_that_is_not_increasing_names_its_window(tmp_path, capsys):
+    assert main(["rate", *ULP_WINDOW, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "dqpt: time window [1.0, 1.0000000000000002] in 3 steps: "
+        "times must be strictly increasing\n"
+    )
+
+
+def test_a_sweep_over_a_non_uniform_time_grid_exits_2(tmp_path, capsys):
+    # at t ~ 1e12 one ulp is 1.2e-4, a quarter of the 5e-4 step: the grid
+    # increases but is not uniform enough for cusp detection
+    out = tmp_path / "never"
+    argv = ["sweep", "--t-min", "1e12", "--t-max", "1000000000001", "--steps", "2001",
+            "--beta", "0.1", "--out", str(out)]
+    assert_exit_2_writes_nothing(tmp_path, capsys, argv)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task", ["winding", "zeros", "critical-modes", "variant-report"])
+def test_a_coupling_that_overflows_the_mode_energies_exits_2(tmp_path, capsys, task):
+    out = tmp_path / "x.csv"
+    argv = [task, "--coupling", "1e308", "--steps", "2", "--out", str(out)]
+    assert_exit_2_writes_nothing(tmp_path, capsys, argv)
+    assert not out.exists()

@@ -184,11 +184,19 @@ class TestQuenchProtocol:
             dict(lambda_pre=0.5, lambda_post=2.0, beta=1.0, phi=math.inf),
             dict(lambda_pre=0.5, lambda_post=2.0, beta=1.0, coupling=0.0),
             dict(lambda_pre=0.5, lambda_post=2.0, beta=1.0, coupling=-2.0),
+            dict(lambda_pre=0.5, lambda_post=2.0, beta=1.0, coupling=1e308),
+            dict(lambda_pre=2.0, lambda_post=0.5, beta=1.0, coupling=1e308),
         ],
     )
     def test_rejects_invalid_fields(self, kwargs):
         with pytest.raises(ValueError):
             QuenchProtocol(**kwargs)
+
+    @pytest.mark.parametrize("lambdas", [(0.5, 2.0), (2.0, 0.5)])
+    def test_a_coupling_whose_mode_energies_stay_finite_is_accepted(self, lambdas):
+        # every mode energy is at most coupling * (max(lambda_pre, lambda_post) + 1)
+        p = QuenchProtocol(*lambdas, 1.0, coupling=1e300)
+        assert dispersion(math.pi, max(lambdas), p.coupling) == 3e300
 
     def test_immutable(self):
         p = QuenchProtocol(0.5, 2.0, 10.0)

@@ -111,7 +111,8 @@ def test_node_cache_is_bounded(monkeypatch):
     cap = 256
     monkeypatch.setattr(observables, "_MAX_PANELS", cap)
     # a tolerance below roundoff keeps every sample splitting until the
-    # panel budget runs out
+    # split cap stops it
+    monkeypatch.setattr(observables, "_MAX_SPLITS", 96)
     quad = _RateQuad(FIG3, tol=1e-18)
     sizes = []
     for t in np.linspace(5.4, 5.6, 12):
@@ -123,11 +124,12 @@ def test_node_cache_is_bounded(monkeypatch):
 
 
 def test_node_cache_stays_bounded_inside_a_round(monkeypatch):
-    # with 65 base panels each sample splits 32 times, the 40 samples split
-    # more distinct panels than the cache holds, and a round keeps its own
-    # node data while it evicts from the full cache
+    # each sample splits 32 times, the 40 samples split more distinct panels
+    # than the cache holds, and a round keeps its own node data while it
+    # evicts from the full cache
     cap = 128
     monkeypatch.setattr(observables, "_MAX_PANELS", cap)
+    monkeypatch.setattr(observables, "_MAX_SPLITS", 32)
     sizes = []
 
     class RecordingCache(dict):

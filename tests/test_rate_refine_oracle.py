@@ -165,20 +165,15 @@ def test_a_grid_through_a_log_spike_equals_the_per_sample_refinement(small_block
     assert quad.extra_panels > 100
 
 
-@pytest.mark.parametrize("binding", ["_MAX_SPLITS", "_MAX_PANELS"])
-def test_the_caps_stop_refinement_as_before(binding):
-    # a tolerance below roundoff keeps every sample splitting until a cap stops it
+def test_the_split_cap_stops_refinement_as_before():
+    # a tolerance below roundoff keeps every sample splitting until the cap stops it
     times = np.linspace(5.4, 5.6, 30)
     n_base = _RateQuad(FIG3)._lefts.size
-    if binding == "_MAX_SPLITS":
-        caps = {"_MAX_PANELS": n_base + 2 * 40, "_MAX_SPLITS": 25}
-    else:
-        caps = {"_MAX_PANELS": n_base + 2 * 15, "_MAX_SPLITS": 10**6}
+    caps = {"_MAX_PANELS": n_base + 2 * 40, "_MAX_SPLITS": 25}
     # the oracle above reads this module's caps, _RateQuad its own
     with mock.patch.multiple(observables, **caps), mock.patch.dict(globals(), caps):
         quad = assert_same_refinement(FIG3, times, 1e-18)
-    splits = 25 if binding == "_MAX_SPLITS" else 15
-    assert quad.extra_panels == times.size * splits
+    assert quad.extra_panels == times.size * 25
     assert quad.unconverged == times.size
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .criticality import VARIANTS, critical_modes, fisher_zero_line, variant_report
 from .mode_dynamics import (  # noqa: F401 (perfbench traces null_work_decomposition here)
+    _aligned_empty,
     boundary_partition,
     mode_coefficients,
     mode_echo,
@@ -59,6 +60,7 @@ def _fmt(x) -> str:
 
 
 _INF_WORDS = {"inf", "infinity", "infinite"}
+_MAX_STEPS = 10**7  # time grid length; 80 MB of times
 _PI_RE = re.compile(
     r"^\s*([+-]?)\s*(?:(\d+(?:\.\d*)?|\.\d+)\s*\*?\s*)?pi\s*(?:/\s*(\d+(?:\.\d*)?|\.\d+))?\s*$",
     re.IGNORECASE,
@@ -202,6 +204,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"variant must be {' or '.join(VARIANTS)}, got {cfg.variant!r}")
     if cfg.steps < 2:
         raise ConfigError(f"steps must be >= 2, got {cfg.steps}")
+    if cfg.steps > _MAX_STEPS:  # before any task allocates its grid
+        raise ConfigError(f"steps must be <= {_MAX_STEPS}, got {cfg.steps}")
     if not -math.inf < cfg.t_min < cfg.t_max < math.inf:
         raise ConfigError(f"need finite t_min < t_max, got [{cfg.t_min}, {cfg.t_max}]")
     if not 0.0 < cfg.tol < math.inf:
@@ -404,10 +408,14 @@ def _task_echo_decomposition(cfg, warnings):
 
     def rows():  # (time block x mode) arrays; t and k are formatted once each
         k_text = ["%.17g" % k for k in momenta.tolist()]
+        # echo, null work and their shared work buffer, once per call
+        shape = (min(block, times.size), momenta.size)
+        echo_buf, null_buf, work = (_aligned_empty(shape) for _ in range(3))
         for lo in range(0, times.size, block):
             tb = times[lo : lo + block, None]
-            echo = mode_echo(coeffs.imbalance, coeffs.eps_post, tb)
-            null = mode_echo(null_imbalance, coeffs.eps_post, tb)
+            n = tb.size
+            echo = mode_echo(coeffs.imbalance, coeffs.eps_post, tb, echo_buf[:n], work[:n])
+            null = mode_echo(null_imbalance, coeffs.eps_post, tb, null_buf[:n], work[:n])
             for t, echo_t, null_t in zip(tb[:, 0].tolist(), echo, null):
                 columns = (echo_t.tolist(), null_t.tolist(), (echo_t - null_t).tolist())
                 yield from zip(itertools.repeat("%.17g" % t), k_text, *columns)

@@ -109,25 +109,35 @@ def mode_amplitude(coeffs: ModeCoefficients, t):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def mode_echo(imbalance, eps_post, t):
+def mode_echo(imbalance, eps_post, t, out=None, work=None):
     """Per-mode Loschmidt echo |G_k(t)|^2 = cos^2(eps' t) + A^2 sin^2(eps' t).
 
     Taken as (1 + (A tan)^2) / (1 + tan^2): positive terms only, so no
     cancellation near a zero of the echo, and one vectorized tangent costs a
-    fraction of a sine plus a cosine.  Broadcasts over its arguments and
-    works in place on two buffers, since a rate quadrature's time-block
-    temporaries are its bulk cost.  With A replaced by cos(2 delta_theta)
-    it is the null-work probability of null_work_decomposition.
+    fraction of a sine plus a cosine.  Broadcasts over its arguments; out
+    (returned) receives eps' t, its tangent and then the echo, and work A tan,
+    so a caller owning both allocates nothing.  With A replaced by
+    cos(2 delta_theta) it is the null-work probability of null_work_decomposition.
     """
-    v = np.asarray(np.multiply(eps_post, t, dtype=float))
+    v = np.asarray(np.multiply(eps_post, t, out=out, dtype=float))
     np.tan(v, out=v)
-    s = imbalance * v
+    s = np.multiply(imbalance, v, out=work)
     s *= s
     s += 1.0
     v *= v
     v += 1.0
     np.divide(s, v, out=v)
     return float(v) if v.ndim == 0 else v
+
+
+def _aligned_empty(shape) -> np.ndarray:
+    """Empty C-contiguous float64 array at a 64-byte-aligned address; numpy's
+    own come from malloc at 16 bytes, where its long vector loops ran at half
+    speed on an AVX-512 Xeon."""
+    n = 8 * int(np.prod(shape))
+    raw = np.empty(n + 64, dtype=np.uint8)
+    # two slices: an empty raw[skip:skip] would keep raw's own address
+    return raw[-raw.ctypes.data % 64 :][:n].view(np.float64).reshape(shape)
 
 
 def mode_eigenvectors(k: float, lam: float):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criticality import critical_times, imbalance_roots
-from .mode_dynamics import mode_coefficients, mode_echo
+from .mode_dynamics import _aligned_empty, mode_coefficients, mode_echo
 from .model import K_EPS, QuenchProtocol, dispersion, mode_grid  # noqa: F401 (traced by perfbench)
 
 __all__ = [
@@ -72,15 +72,16 @@ _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 _GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
 # every panel carries both rules' nodes in one row: 15 Gauss-Legendre, then 7
 _NODES_X = np.concatenate([_GL15_X, _GL7_X])
+_NODES_W = np.concatenate([_GL15_W, _GL7_W])
 
 _MAX_PANELS = 16384  # child panels the refinement node cache holds
 _MAX_SPLITS = 4096  # refinement splits per sample
-_BLOCK_BYTES = 1 << 18  # size of one (time x panel x node) temporary
+_BLOCK_BYTES = 1 << 18  # size of one (time x panel x node) buffer
 
 
-def _log_echo_values(imbalance, eps_post, t):
+def _log_echo_values(imbalance, eps_post, t, out=None, work=None):
     # -(1/pi) ln|G_k(t)| from per-node (A, eps') data; nonnegative since |G| <= 1
-    v = mode_echo(imbalance, eps_post, t)
+    v = mode_echo(imbalance, eps_post, t, out, work)
     np.log(v, out=v)
     np.negative(v, out=v)
     v /= 2.0 * math.pi
@@ -99,11 +100,12 @@ def _node_data(protocol, lefts, widths):
 
 
 def _panel_sums(half, v):
-    # (GL15 value, |GL15 - GL7|) per panel; multiply-then-sum along the
-    # contiguous node axis keeps each row's arithmetic independent of how
-    # many rows share the call, unlike a BLAS product
-    i15 = half * np.add.reduce(v[..., :15] * _GL15_W, axis=-1)
-    i7 = half * np.add.reduce(v[..., 15:] * _GL7_W, axis=-1)
+    # (GL15 value, |GL15 - GL7|) per panel; overwrites v with weighted values.
+    # Multiply-then-sum along the node axis keeps each row's arithmetic
+    # independent of how many rows share the call, unlike a BLAS product
+    np.multiply(v, _NODES_W, out=v)
+    i15 = half * np.add.reduce(v[..., :15], axis=-1)
+    i7 = half * np.add.reduce(v[..., 15:], axis=-1)
     return i15, np.abs(i15 - i7)
 
 
@@ -158,7 +160,9 @@ class _RateQuad:
         self._lefts = np.asarray(lefts)
         self._widths = np.asarray(widths)
         self._half = 0.5 * self._widths
-        self._imb, self._eps = _node_data(protocol, self._lefts, self._widths)
+        imb, eps = _node_data(protocol, self._lefts, self._widths)
+        self._imb, self._eps = _aligned_empty(imb.shape), _aligned_empty(eps.shape)
+        self._imb[...], self._eps[...] = imb, eps
         self._block = max(1, _BLOCK_BYTES // self._imb.nbytes)
         self._children = {}  # (left, width) of a split panel -> its children's node data
 
@@ -241,12 +245,15 @@ class _RateQuad:
         # refinement) are refined once they fill about one _BLOCK_BYTES, and at the end
         flush = max(1, _BLOCK_BYTES // (4 * self._half.nbytes))
         held, n_held = [], 0
+        # the (time x panel x node) values and their work buffer, once per call
+        rows = (min(self._block, times.size), *self._imb.shape)
+        buf, work = _aligned_empty(rows), _aligned_empty(rows)
         for lo in range(0, times.size, self._block):
             tb = times[lo : lo + self._block]
-            # the (time x panel x node) echoes are gone before refinement runs
-            i15, err = _panel_sums(
-                self._half, _log_echo_values(self._imb, self._eps, tb[:, None, None])
+            v = _log_echo_values(
+                self._imb, self._eps, tb[:, None, None], buf[: tb.size], work[: tb.size]
             )
+            i15, err = _panel_sums(self._half, v)
             total = np.sum(err, axis=-1)
             values[lo : lo + tb.size] = np.sum(i15, axis=-1)
             bounds[lo : lo + tb.size] = total
@@ -311,14 +318,14 @@ def compute_rate_series(
 # ---------------------------------------------------------------------------
 # finite chains and single modes
 
-def _finite_rate_from_mode_echoes(mode_echoes, n_sites: int):
+def _finite_rate_from_mode_echoes(mode_echoes, n_sites: int, overwrite: bool = False):
     """Per-site rate from the per-mode squared amplitudes, along the last axis.
 
     An exact zero's -inf log makes its row math.inf, so callers can flag it
-    as singular.  1-d input gives a float.
+    as singular.  1-d input gives a float.  overwrite logs in place.
     """
     with np.errstate(divide="ignore"):
-        logs = np.log(mode_echoes)
+        logs = np.log(mode_echoes, out=mode_echoes if overwrite else None)
     out = -np.sum(logs, axis=-1) / n_sites
     return float(out) if out.ndim == 0 else out
 
@@ -333,15 +340,20 @@ def rate_function_finite(protocol: QuenchProtocol, n_sites: int, t) -> float:
 
 
 def compute_rate_series_finite(protocol: QuenchProtocol, n_sites: int, times) -> RateSeries:
-    """rate_function_finite over a grid, in (time block x mode) arrays
-    sized like the quadrature's."""
+    """rate_function_finite over a grid, in (time block x mode) buffers
+    sized like the quadrature's, aligned and allocated once per call."""
     times = np.asarray(times, dtype=float)
     coeffs = mode_coefficients(protocol, mode_grid(n_sites).momenta)
-    block = max(1, _BLOCK_BYTES // coeffs.eps_post.nbytes)
+    imb, eps = (_aligned_empty(coeffs.eps_post.shape) for _ in range(2))
+    imb[...], eps[...] = coeffs.imbalance, coeffs.eps_post
+    block = max(1, _BLOCK_BYTES // eps.nbytes)
+    rows = (min(block, times.size), eps.size)
+    buf, work = _aligned_empty(rows), _aligned_empty(rows)
     values = np.empty(times.size)
     for lo in range(0, times.size, block):
-        echoes = mode_echo(coeffs.imbalance, coeffs.eps_post, times[lo : lo + block, None])
-        values[lo : lo + block] = _finite_rate_from_mode_echoes(echoes, n_sites)
+        tb = times[lo : lo + block, None]
+        echoes = mode_echo(imb, eps, tb, buf[: tb.size], work[: tb.size])
+        values[lo : lo + block] = _finite_rate_from_mode_echoes(echoes, n_sites, overwrite=True)
     return RateSeries(times=times, values=values, method="finite_N", protocol=protocol)
 
 

@@ -569,3 +569,22 @@ def test_a_coupling_that_overflows_the_mode_energies_exits_2(tmp_path, capsys, t
     argv = [task, "--coupling", "1e308", "--steps", "2", "--out", str(out)]
     assert_exit_2_writes_nothing(tmp_path, capsys, argv)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("task", ["rate", "zeros", "critical-modes", "variant-report", "sweep"])
+def test_steps_above_the_cap_exit_2_before_any_time_grid(tmp_path, capsys, monkeypatch, task):
+    def no_grid(cfg):
+        raise AssertionError("the time grid was built")
+
+    monkeypatch.setattr("dqpt.cli._times", no_grid)
+    argv = [task, "--steps", "10000001", "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "dqpt: steps must be <= 10000000, got 10000001\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_steps_cap_is_inclusive(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("dqpt.cli._MAX_STEPS", 5)
+    assert main(["rate", "--steps", "5", "--out", str(tmp_path / "a.csv")]) == 0
+    argv = ["rate", "--steps", "6", "--out", str(tmp_path / "b.csv")]
+    assert_exit_2_writes_nothing(tmp_path, capsys, argv)

@@ -26,18 +26,16 @@ import numpy as np
 from . import __version__
 from .criticality import VARIANTS, critical_modes, fisher_zero_line, variant_report
 from .mode_dynamics import (  # noqa: F401 (perfbench traces null_work_decomposition here)
-    _aligned_empty,
     boundary_partition,
     mode_coefficients,
-    mode_echo,
     null_work_decomposition,
 )
 from .model import QuenchProtocol, mode_grid
 from .observables import (
-    _BLOCK_BYTES,
     RateSeries,
     UnwrapError,
     _base_grid,
+    _echo_blocks,
     compute_rate_series,
     compute_rate_series_finite,
     detect_cusps,
@@ -60,7 +58,7 @@ def _fmt(x) -> str:
 
 
 _INF_WORDS = {"inf", "infinity", "infinite"}
-_MAX_STEPS = 10**7  # time grid length; 80 MB of times
+_MAX_STEPS = 10**7  # time grid length (80 MB of times) and ladder length
 _PI_RE = re.compile(
     r"^\s*([+-]?)\s*(?:(\d+(?:\.\d*)?|\.\d+)\s*\*?\s*)?pi\s*(?:/\s*(\d+(?:\.\d*)?|\.\d+))?\s*$",
     re.IGNORECASE,
@@ -216,6 +214,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"n_sites must be even and >= 2, got {cfg.n_sites}")
     if cfg.n_max < 0:
         raise ConfigError(f"n_max must be >= 0, got {cfg.n_max}")
+    if cfg.n_max > _MAX_STEPS:  # before critical_times builds a ladder per critical mode
+        raise ConfigError(f"n_max must be <= {_MAX_STEPS}, got {cfg.n_max}")
     if cfg.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
     if cfg.sweep_cap < 1:
@@ -404,19 +404,12 @@ def _task_echo_decomposition(cfg, warnings):
     # the null-work probability cos^2 + sin^2 cos^2(2 dtheta) is the echo
     # with the imbalance replaced by cos(2 dtheta)
     null_imbalance = np.cos(2.0 * coeffs.delta_theta)
-    block = max(1, _BLOCK_BYTES // momenta.nbytes)
 
-    def rows():  # (time block x mode) arrays; t and k are formatted once each
+    def rows():  # (time block x mode) echoes; t and k are formatted once each
         k_text = ["%.17g" % k for k in momenta.tolist()]
-        # echo, null work and their shared work buffer, once per call
-        shape = (min(block, times.size), momenta.size)
-        echo_buf, null_buf, work = (_aligned_empty(shape) for _ in range(3))
-        for lo in range(0, times.size, block):
-            tb = times[lo : lo + block, None]
-            n = tb.size
-            echo = mode_echo(coeffs.imbalance, coeffs.eps_post, tb, echo_buf[:n], work[:n])
-            null = mode_echo(null_imbalance, coeffs.eps_post, tb, null_buf[:n], work[:n])
-            for t, echo_t, null_t in zip(tb[:, 0].tolist(), echo, null):
+        blocks = _echo_blocks(coeffs.eps_post, times, coeffs.imbalance, null_imbalance)
+        for _, tb, (echo, null) in blocks:
+            for t, echo_t, null_t in zip(tb.tolist(), echo, null):
                 columns = (echo_t.tolist(), null_t.tolist(), (echo_t - null_t).tolist())
                 yield from zip(itertools.repeat("%.17g" % t), k_text, *columns)
 

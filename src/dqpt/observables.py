@@ -36,6 +36,16 @@ __all__ = [
 _RATE_METHODS = ("quadrature", "finite_N")
 
 
+def _check_times(times) -> np.ndarray:
+    """times as a float array; ValueError unless 1-d and strictly increasing."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be a 1-d array, got shape {times.shape}")
+    if times.size >= 2 and not np.all(np.diff(times) > 0.0):
+        raise ValueError("times must be strictly increasing")
+    return times
+
+
 @dataclass(frozen=True, eq=False)
 class RateSeries:
     """Sampled rate function with the metadata cusp detection needs."""
@@ -47,12 +57,10 @@ class RateSeries:
     estimated_error: np.ndarray | None = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times = _check_times(self.times)
         values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or times.shape != values.shape:
+        if times.shape != values.shape:
             raise ValueError("times and values must be 1-d arrays of equal length")
-        if times.size >= 2 and not np.all(np.diff(times) > 0.0):
-            raise ValueError("times must be strictly increasing")
         if self.method not in _RATE_METHODS:
             raise ValueError(f"method must be one of {_RATE_METHODS}, got {self.method!r}")
         err = self.estimated_error
@@ -65,6 +73,37 @@ class RateSeries:
         object.__setattr__(self, "estimated_error", err)
 
 
+_BLOCK_BYTES = 1 << 18  # size of one (time block x echo data) buffer
+
+
+def _echo_blocks(eps_post, times, *imbalances):
+    """Yield (lo, time block, echoes) over a 1-d grid of times: one
+    mode_echo array of shape (block, *eps_post.shape) per imbalance.
+
+    Blocks hold about _BLOCK_BYTES of echoes each.  eps' and the
+    imbalances are copied once, and the echo buffers and the work buffer
+    they share are allocated once per call, all at 64-byte-aligned
+    addresses (_aligned_empty): every block is written into the same
+    buffers, which the caller may overwrite in place until the next one.
+    """
+
+    def aligned(a):
+        out = _aligned_empty(np.shape(a))
+        out[...] = a
+        return out
+
+    eps = aligned(eps_post)
+    imbalances = [aligned(a) for a in imbalances]
+    block = max(1, _BLOCK_BYTES // eps.nbytes)
+    shape = (min(block, times.size), *eps.shape)
+    *bufs, work = (_aligned_empty(shape) for _ in range(len(imbalances) + 1))
+    for lo in range(0, times.size, block):
+        tb = times[lo : lo + block]
+        n = tb.size
+        t = tb.reshape((n,) + (1,) * eps.ndim)
+        yield lo, tb, [mode_echo(a, eps, t, b[:n], work[:n]) for a, b in zip(imbalances, bufs)]
+
+
 # ---------------------------------------------------------------------------
 # thermodynamic-limit rate function
 
@@ -74,14 +113,11 @@ _GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
 _NODES_X = np.concatenate([_GL15_X, _GL7_X])
 _NODES_W = np.concatenate([_GL15_W, _GL7_W])
 
-_MAX_PANELS = 16384  # child panels the refinement node cache holds
 _MAX_SPLITS = 4096  # refinement splits per sample
-_BLOCK_BYTES = 1 << 18  # size of one (time x panel x node) buffer
 
 
-def _log_echo_values(imbalance, eps_post, t, out=None, work=None):
-    # -(1/pi) ln|G_k(t)| from per-node (A, eps') data; nonnegative since |G| <= 1
-    v = mode_echo(imbalance, eps_post, t, out, work)
+def _log_echo_values(v):
+    # -(1/pi) ln|G_k(t)| in place over echoes v = |G_k(t)|^2; nonnegative since |G| <= 1
     np.log(v, out=v)
     np.negative(v, out=v)
     v /= 2.0 * math.pi
@@ -115,17 +151,14 @@ class _RateQuad:
     The base panels split the zone at the imbalance roots and then to a
     uniform maximum width; their node data (A, eps') is computed once.  A
     block of times is integrated over all base panels in one numpy pass of
-    shape (time x panel x node), with blocks sized so each temporary stays
-    near _BLOCK_BYTES.  Each panel carries a 15-point and a 7-point
-    Gauss-Legendre rule, and their difference is its error bound.  Samples
-    whose summed bound exceeds tol are refined by greedy halving in lockstep
-    rounds on array state: (left, width, value, bound) x sample x live
-    panel.  Each round halves, in every unfinished sample, the live panel
-    with the largest bound, the leftmost of equal ones, in one array pass.
-    The children of a split are the same panels at every time, so their node
-    data is cached per (left, width) of the split panel, up to _MAX_PANELS
-    child panels, and the protocol's modes are evaluated once per panel, not
-    per sample.
+    shape (time x panel x node), on the time blocks of _echo_blocks.  Each
+    panel carries a 15-point and a 7-point Gauss-Legendre rule, and their
+    difference is its error bound.  Samples whose summed bound exceeds tol
+    are refined by greedy halving in lockstep rounds on array state: (left,
+    width, value, bound) x sample x live panel.  Each round halves, in every
+    unfinished sample, the live panel with the largest bound, the leftmost
+    of equal ones, in one array pass, and evaluates the protocol's modes
+    once per distinct split panel.
 
     The two rules are deliberately not nested.  In the Gauss-Kronrod 7/15
     pair the 7 Gauss nodes are among the 15, so a narrow logarithmic spike
@@ -160,11 +193,7 @@ class _RateQuad:
         self._lefts = np.asarray(lefts)
         self._widths = np.asarray(widths)
         self._half = 0.5 * self._widths
-        imb, eps = _node_data(protocol, self._lefts, self._widths)
-        self._imb, self._eps = _aligned_empty(imb.shape), _aligned_empty(eps.shape)
-        self._imb[...], self._eps[...] = imb, eps
-        self._block = max(1, _BLOCK_BYTES // self._imb.nbytes)
-        self._children = {}  # (left, width) of a split panel -> its children's node data
+        self._imb, self._eps = _node_data(protocol, self._lefts, self._widths)
 
     def _refine(self, held, values, bounds):
         """Refine the held samples, blocks of (index, time, i15 row, err row,
@@ -173,8 +202,7 @@ class _RateQuad:
         A sample stops once its running bound is within tol or it has split
         _MAX_SPLITS times; every sample still refining has split once per
         round, so those that stop together are summed in left order as one
-        array and dropped.  A round holds its own node data: evicting can
-        drop a key it reads."""
+        array and dropped."""
         n_base = self._lefts.size
         index, times, total = (np.concatenate([h[q] for h in held]) for q in (0, 1, 4))
         # (left, width, GL15 value, bound) x sample x live panel
@@ -208,26 +236,15 @@ class _RateQuad:
             largest = panels[3] == panels[3].max(axis=1, keepdims=True)
             j = np.where(largest, panels[0], math.inf).argmin(axis=1)
             left, width, _, bound = panels[:, rows, j]
+            # one _node_data call for the halves of each distinct split panel
             keys = list(zip(left.tolist(), width.tolist()))
-            data = {key: self._children.get(key) for key in keys}
-            new = [key for key, d in data.items() if d is None]
-            if new:  # one _node_data call for the halves of every uncached panel
-                nl, nw = np.array(new).T
-                hw = 0.5 * nw
-                imb, eps = _node_data(
-                    self.protocol, np.stack([nl, nl + hw], 1).ravel(), np.repeat(hw, 2)
-                )
-                for n, key in enumerate(new):
-                    data[key] = imb[2 * n : 2 * n + 2], eps[2 * n : 2 * n + 2]
-                    if 2 * len(self._children) >= _MAX_PANELS:
-                        del self._children[next(iter(self._children))]
-                    self._children[key] = data[key]
-            halves = (-1, 2, _NODES_X.size)
-            v = _log_echo_values(  # (sample x half x node)
-                np.concatenate([data[key][0] for key in keys]).reshape(halves),
-                np.concatenate([data[key][1] for key in keys]).reshape(halves),
-                times[:, None, None],
-            )
+            at = {key: n for n, key in enumerate(dict.fromkeys(keys))}
+            nl, nw = np.array(list(at)).T
+            hw = 0.5 * nw
+            data = _node_data(self.protocol, np.stack([nl, nl + hw], 1).ravel(), np.repeat(hw, 2))
+            pick = [at[key] for key in keys]
+            imb, eps = (d.reshape(-1, 2, _NODES_X.size)[pick] for d in data)
+            v = _log_echo_values(mode_echo(imb, eps, times[:, None, None]))  # sample x half x node
             hw = 0.5 * width
             ci, ce = _panel_sums(0.5 * hw[:, None], v)
             total = total + ce[:, 0] + ce[:, 1] - bound  # rounding follows this order
@@ -237,38 +254,25 @@ class _RateQuad:
             splits += 1
 
     def evaluate_block(self, times):
-        """Integrate at each of a 1-d array of times; returns (values, bounds)."""
-        times = np.asarray(times, dtype=float)
+        """Integrate at each of a 1-d float array of times; returns (values, bounds)."""
         values = np.empty(times.size)
         bounds = np.empty(times.size)
         # held samples (an i15 and an err row each, then four panel rows in
         # refinement) are refined once they fill about one _BLOCK_BYTES, and at the end
         flush = max(1, _BLOCK_BYTES // (4 * self._half.nbytes))
         held, n_held = [], 0
-        # the (time x panel x node) values and their work buffer, once per call
-        rows = (min(self._block, times.size), *self._imb.shape)
-        buf, work = _aligned_empty(rows), _aligned_empty(rows)
-        for lo in range(0, times.size, self._block):
-            tb = times[lo : lo + self._block]
-            v = _log_echo_values(
-                self._imb, self._eps, tb[:, None, None], buf[: tb.size], work[: tb.size]
-            )
-            i15, err = _panel_sums(self._half, v)
+        for lo, tb, (v,) in _echo_blocks(self._eps, times, self._imb):
+            i15, err = _panel_sums(self._half, _log_echo_values(v))
             total = np.sum(err, axis=-1)
             values[lo : lo + tb.size] = np.sum(i15, axis=-1)
             bounds[lo : lo + tb.size] = total
             over = np.nonzero(total > self.tol)[0]  # fancy indexing copies the rows
             held.append((lo + over, tb[over], i15[over], err[over], total[over]))
             n_held += over.size
-            if n_held >= flush or lo + self._block >= times.size:
+            if n_held >= flush or lo + tb.size >= times.size:
                 self._refine(held, values, bounds)  # empties held
                 n_held = 0
         return values, bounds
-
-    def evaluate(self, t: float):
-        """Integrate at time t; returns (value, error_bound)."""
-        values, bounds = self.evaluate_block(np.array([float(t)]))
-        return float(values[0]), float(bounds[0])
 
 
 def rate_function(protocol: QuenchProtocol, t, tol: float = 1e-8):
@@ -280,7 +284,8 @@ def rate_function(protocol: QuenchProtocol, t, tol: float = 1e-8):
     time block of one through the same code as compute_rate_series, so
     the two agree bit for bit.
     """
-    return _RateQuad(protocol, tol).evaluate(t)
+    values, bounds = _RateQuad(protocol, tol).evaluate_block(np.array([float(t)]))
+    return float(values[0]), float(bounds[0])
 
 
 def compute_rate_series(
@@ -291,16 +296,20 @@ def compute_rate_series(
 ) -> RateSeries:
     """rate_function swept over a time grid in blocks of times.
 
-    diagnostics, if given, receives the refinement splits (extra_panels),
-    the samples left above tol (unconverged_samples), the most splits on
-    one sample (max_splits), and the largest error bound (max_err_bound, a
-    NaN bound counting as the largest) with its time (max_err_bound_t).
+    diagnostics, if given, receives the integrand evaluations
+    (nodes_evaluated), the refinement splits (extra_panels), the samples
+    left above tol (unconverged_samples), the most splits on one sample
+    (max_splits), and the largest error bound (max_err_bound, a NaN bound
+    counting as the largest) with its time (max_err_bound_t).
     """
-    times = np.asarray(times, dtype=float)
+    times = _check_times(times)
     quad = _RateQuad(protocol, tol)
     values, errors = quad.evaluate_block(times)
     if diagnostics is not None:
         worst = int(np.argmax(errors)) if errors.size else None  # argmax finds a NaN first
+        # integrand evaluations: every base node at every time, two halves per split
+        nodes = times.size * quad._imb.size + 2 * _NODES_X.size * quad.extra_panels
+        diagnostics["nodes_evaluated"] = nodes
         diagnostics["extra_panels"] = quad.extra_panels
         diagnostics["unconverged_samples"] = quad.unconverged
         diagnostics["max_splits"] = quad.max_splits
@@ -340,20 +349,13 @@ def rate_function_finite(protocol: QuenchProtocol, n_sites: int, t) -> float:
 
 
 def compute_rate_series_finite(protocol: QuenchProtocol, n_sites: int, times) -> RateSeries:
-    """rate_function_finite over a grid, in (time block x mode) buffers
-    sized like the quadrature's, aligned and allocated once per call."""
-    times = np.asarray(times, dtype=float)
+    """rate_function_finite over a grid, in the (time block x mode) echo
+    blocks of _echo_blocks, their logs taken in place."""
+    times = _check_times(times)
     coeffs = mode_coefficients(protocol, mode_grid(n_sites).momenta)
-    imb, eps = (_aligned_empty(coeffs.eps_post.shape) for _ in range(2))
-    imb[...], eps[...] = coeffs.imbalance, coeffs.eps_post
-    block = max(1, _BLOCK_BYTES // eps.nbytes)
-    rows = (min(block, times.size), eps.size)
-    buf, work = _aligned_empty(rows), _aligned_empty(rows)
     values = np.empty(times.size)
-    for lo in range(0, times.size, block):
-        tb = times[lo : lo + block, None]
-        echoes = mode_echo(imb, eps, tb, buf[: tb.size], work[: tb.size])
-        values[lo : lo + block] = _finite_rate_from_mode_echoes(echoes, n_sites, overwrite=True)
+    for lo, tb, (echoes,) in _echo_blocks(coeffs.eps_post, times, coeffs.imbalance):
+        values[lo : lo + tb.size] = _finite_rate_from_mode_echoes(echoes, n_sites, overwrite=True)
     return RateSeries(times=times, values=values, method="finite_N", protocol=protocol)
 
 

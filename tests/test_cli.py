@@ -6,6 +6,7 @@ import pytest
 
 from dqpt import QuenchProtocol, critical_times, dispersion
 from dqpt.cli import ConfigError, RunManifest, main, parse_number, read_config_file
+from dqpt.observables import _RateQuad
 
 K_STAR = math.acos(0.8)
 T_STAR = math.pi / (2.0 * dispersion(K_STAR, 2.0))
@@ -455,8 +456,13 @@ def test_rate_and_cell_manifests_report_max_splits_and_the_worst_bound(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
     (cell,) = [p for p in (tmp_path / "sweep").iterdir() if p.is_dir()]
     cell_manifest = dict(RunManifest.from_text((cell / "cell.manifest").read_text()).entries)
-    for key in ("rate.max_splits", "rate.max_err_bound", "rate.max_err_bound_t"):
+    for key in ("rate.max_splits", "rate.max_err_bound", "rate.max_err_bound_t",
+                "rate.nodes_evaluated"):
         assert cell_manifest[key] == manifest[key]
+    # every base node at each of the 21 times, two 22-node halves per split
+    n_base = _RateQuad(QuenchProtocol(0.5, 2.0, 1.0, -math.pi / 2))._lefts.size
+    nodes = 21 * n_base * 22 + 44 * int(manifest["rate.extra_panels"])
+    assert int(manifest["rate.nodes_evaluated"]) == nodes
 
 
 def assert_exit_2_writes_nothing(tmp_path, capsys, argv):
@@ -587,4 +593,24 @@ def test_the_steps_cap_is_inclusive(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("dqpt.cli._MAX_STEPS", 5)
     assert main(["rate", "--steps", "5", "--out", str(tmp_path / "a.csv")]) == 0
     argv = ["rate", "--steps", "6", "--out", str(tmp_path / "b.csv")]
+    assert_exit_2_writes_nothing(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("task", ["critical-modes", "sweep"])
+def test_n_max_above_the_cap_exits_2_before_any_ladder(tmp_path, capsys, monkeypatch, task):
+    def no_ladder(*args):
+        raise AssertionError("a critical-time ladder was built")
+
+    monkeypatch.setattr("dqpt.criticality.critical_times", no_ladder)
+    argv = [task, "--n-max", "10000001", "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "dqpt: n_max must be <= 10000000, got 10000001\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_n_max_cap_is_inclusive(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("dqpt.cli._MAX_STEPS", 5)
+    common = ["critical-modes", "--steps", "5"]
+    assert main([*common, "--n-max", "5", "--out", str(tmp_path / "a.csv")]) == 0
+    argv = [*common, "--n-max", "6", "--out", str(tmp_path / "b.csv")]
     assert_exit_2_writes_nothing(tmp_path, capsys, argv)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import dqpt.cli as cli
-from dqpt import mode_coefficients, mode_echo, mode_grid
+from dqpt import mode_coefficients, mode_echo, mode_grid, observables
 from dqpt.cli import RunManifest, _fmt, _protocol, _times, main
 
 PROTOCOLS = [
@@ -147,7 +147,7 @@ def test_out_of_memory_mid_write_leaves_no_csv_and_no_temporary(tmp_path, capsys
             raise MemoryError
         return mode_echo(*args)
 
-    monkeypatch.setattr(cli, "mode_echo", echo_then_out_of_memory)
+    monkeypatch.setattr(observables, "mode_echo", echo_then_out_of_memory)  # _echo_blocks' own
     argv = ["echo-decomposition", "--out", str(tmp_path / "e.csv")]
     assert_clean_exit_2(tmp_path, capsys, argv)
     assert len(calls) == 5  # rows of two blocks went to the temporary first

@@ -1,5 +1,6 @@
 """The echo written into caller-owned buffers: mode_echo's out and work, the
-aligned buffers they live in, and the in-place steps around them.
+aligned buffers they live in, the time blocks of _echo_blocks that fill
+them, and the in-place steps around them.
 
 Every in-place path must give the bits of the allocating one, leave its
 inputs alone and allocate nothing of the buffers' size.
@@ -7,16 +8,18 @@ inputs alone and allocate nothing of the buffers' size.
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqpt import mode_echo
+from dqpt import mode_echo, observables
 from dqpt.mode_dynamics import _aligned_empty
 from dqpt.observables import (
     _GL7_W,
     _GL15_W,
+    _echo_blocks,
     _finite_rate_from_mode_echoes,
     _log_echo_values,
     _panel_sums,
@@ -75,12 +78,57 @@ def test_echo_into_given_buffers_is_the_allocating_echo_bit_for_bit(case, aligne
 
 @given(echo_case())
 @settings(deadline=None, max_examples=100)
-def test_log_echo_values_into_buffers_are_the_allocating_ones(case):
+def test_log_echo_values_in_place_are_the_allocating_logs(case):
     a, eps, t = case
-    shape = np.broadcast_shapes(a.shape, eps.shape, np.shape(t))
-    out = _aligned_empty(shape)
-    assert _log_echo_values(a, eps, t, out, _aligned_empty(shape)) is out
-    assert_bitwise(out, _log_echo_values(a, eps, t))
+    echo = mode_echo(a, eps, t)
+    with np.errstate(divide="ignore"):  # an exact zero echo logs to -inf
+        expected = -np.log(echo) / (2.0 * math.pi)
+        assert _log_echo_values(echo) is echo
+    assert_bitwise(echo, expected)
+
+
+@st.composite
+def echo_blocks_case(draw):
+    """(eps', imbalances, times, rows per block): (modes,) or (panel, 22)
+    echo data, one or two imbalances, and a block of 1-4 rows, so that
+    block boundaries fall inside the grid."""
+    if draw(st.booleans()):
+        data_shape = (draw(st.integers(1, 4)), 22)
+    else:
+        data_shape = (draw(st.integers(1, 9)),)
+    size = math.prod(data_shape)
+
+    def node_values(lo, hi):
+        values = st.lists(st.floats(lo, hi, **finite), min_size=size, max_size=size)
+        return np.reshape(draw(values), data_shape)
+
+    eps = node_values(0.0, 6.0)
+    imbalances = [node_values(-1.0, 1.0) for _ in range(draw(st.integers(1, 2)))]
+    times = np.cumsum(draw(st.lists(st.floats(1e-3, 2.0, **finite), min_size=1, max_size=11)))
+    return eps, imbalances, times, draw(st.integers(1, 4))
+
+
+@given(echo_blocks_case(), st.integers(0, 7))
+@settings(deadline=None, max_examples=200)
+def test_echo_blocks_tile_the_grid_with_the_allocating_echoes(case, spare_bytes):
+    eps, imbalances, times, rows = case
+    inputs = [eps.copy(), *(a.copy() for a in imbalances)]
+    block_bytes = rows * eps.nbytes + spare_bytes  # rows per block, whatever the spare
+    starts = []
+    with mock.patch.object(observables, "_BLOCK_BYTES", block_bytes):
+        for lo, tb, echoes in _echo_blocks(eps, times, *imbalances):
+            starts.append(lo)
+            assert_bitwise(tb, times[lo : lo + rows])
+            assert len(echoes) == len(imbalances)
+            t = tb.reshape((-1,) + (1,) * eps.ndim)
+            for a, echo in zip(imbalances, echoes):
+                assert echo.ctypes.data % 64 == 0
+                assert echo.flags.c_contiguous
+                assert_bitwise(echo, mode_echo(a, eps, t))
+                echo[...] = math.nan  # callers may overwrite a block in place
+    assert starts == list(range(0, times.size, rows))
+    for before, after in zip(inputs, [eps, *imbalances]):
+        assert_bitwise(after, before)
 
 
 def old_panel_sums(half, v):

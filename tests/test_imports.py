@@ -1,0 +1,113 @@
+"""Imports and private names in src/dqpt, checked on the syntax tree.
+
+Every imported name is used in its module, or its import statement carries
+a ``noqa`` comment that gives the reason in parentheses.  The time blocks
+of the echo loops and their 64-byte-aligned buffers are decided in one
+place: _BLOCK_BYTES and _aligned_empty are named only in mode_dynamics,
+which defines the buffers, and observables, whose _echo_blocks is the one
+function that allocates echo buffers.
+"""
+
+import ast
+import pathlib
+import re
+
+import dqpt
+
+SRC = pathlib.Path(dqpt.__file__).parent
+NOQA = re.compile(r"#\s*noqa:\s*[A-Z]+\d+\s*\((?P<reason>[^)]*\w[^)]*)\)")
+# imports that only the benchmark's tracer looks up (perfbench/tracer.py WRAPPED)
+TRACED = {
+    ("cli", "null_work_decomposition"),
+    ("criticality", "boundary_partition"),
+    ("mode_dynamics", "delta_theta"),
+    ("observables", "dispersion"),
+}
+
+
+def parsed():
+    """module name -> (source lines, syntax tree), for every module of dqpt."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        out[path.stem] = (text.splitlines(), ast.parse(text))
+    return out
+
+
+def names_read(tree):
+    """Names a module reads, with the strings of its __all__."""
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return read
+
+
+def unused_imports():
+    """(module, name) -> the noqa reason on its import, or None."""
+    out = {}
+    for module, (lines, tree) in parsed().items():
+        read = names_read(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if alias.name == "*" or name in read:
+                    continue
+                statement = " ".join(lines[node.lineno - 1 : node.end_lineno])
+                match = NOQA.search(statement)
+                out[module, name] = match.group("reason") if match else None
+    return out
+
+
+def test_every_unused_import_says_why_it_is_kept():
+    unused = unused_imports()
+    assert [key for key, reason in unused.items() if reason is None] == []
+    assert set(unused) == TRACED
+
+
+def test_the_finder_sees_an_unused_import(tmp_path, monkeypatch):
+    source = "import os\nimport sys  # noqa: F401 (kept)\nimport re\nre\nos = 1\n"
+    (tmp_path / "a.py").write_text(source, encoding="utf-8")
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert unused_imports() == {("a", "os"): None, ("a", "sys"): "kept"}
+
+
+def named(tree):
+    """Every identifier a tree names: read, assigned, imported, attribute or def."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+    return out
+
+
+def test_block_size_and_aligned_buffers_are_named_in_one_place():
+    modules = parsed()
+    for name in ("_BLOCK_BYTES", "_aligned_empty"):
+        naming = {module for module, (_, tree) in modules.items() if name in named(tree)}
+        assert "observables" in naming
+        assert naming <= {"mode_dynamics", "observables"}
+    # in observables, only _echo_blocks allocates aligned buffers
+    _, tree = modules["observables"]
+    allocating = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and "_aligned_empty" in named(node)
+    }
+    assert allocating == {"_echo_blocks"}

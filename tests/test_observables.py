@@ -8,6 +8,7 @@ from dqpt import (
     RateSeries,
     UnwrapError,
     compute_rate_series,
+    compute_rate_series_finite,
     critical_rate_function,
     critical_times,
     detect_cusps,
@@ -113,6 +114,37 @@ class TestRateSeries:
                 STANDARD,
                 estimated_error=np.zeros(3),
             )
+
+    def test_rejects_a_2d_grid(self):
+        with pytest.raises(ValueError, match="times must be a 1-d array"):
+            RateSeries(np.zeros((2, 1)), np.zeros((2, 1)), "quadrature", STANDARD)
+
+
+def _no_echo(*args):
+    raise AssertionError("an echo was evaluated")
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        lambda times: compute_rate_series(STANDARD, times),
+        lambda times: compute_rate_series_finite(STANDARD, 20, times),
+    ],
+    ids=["quadrature", "finite_N"],
+)
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        (np.linspace(0.0, 1.0, 6).reshape(2, 3), "times must be a 1-d array, got shape \\(2, 3\\)"),
+        (np.array([0.0, 2.0, 1.0]), "times must be strictly increasing"),
+    ],
+    ids=["2d", "decreasing"],
+)
+def test_a_bad_time_grid_fails_before_any_echo(monkeypatch, series, times, message):
+    # the rule of RateSeries, checked before the grid is integrated
+    monkeypatch.setattr(observables, "mode_echo", _no_echo)
+    with pytest.raises(ValueError, match=message):
+        series(times)
 
 
 class TestCriticalRateFunction:

@@ -1,4 +1,4 @@
-"""The blocked rate quadrature: honest bounds, block invariance, bounded cache."""
+"""The blocked rate quadrature: honest bounds, block invariance, work counts."""
 
 import math
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dqpt import QuenchProtocol, compute_rate_series, critical_times, imbalance_roots, rate_function
-from dqpt import observables
-from dqpt.observables import _RateQuad
+from dqpt import mode_echo, observables
+from dqpt.observables import _RateQuad, _echo_blocks
 
 STANDARD = QuenchProtocol(0.5, 2.0, 10.0)
 # fig3 cell: lambda 0.5 -> 2, beta 1, phi -pi/2, with a log spike near t = 5.525
@@ -78,7 +78,8 @@ class TestBlockInvariance:
 
     @pytest.mark.parametrize("protocol", [STANDARD, FIG3])
     def test_grid_spans_several_blocks(self, protocol):
-        assert self.TIMES.size > 3 * _RateQuad(protocol)._block
+        quad = _RateQuad(protocol)
+        assert sum(1 for _ in _echo_blocks(quad._eps, self.TIMES, quad._imb)) > 3
 
     @pytest.mark.parametrize("protocol", [STANDARD, FIG3])
     @pytest.mark.parametrize("cuts", [(1,), (7, 8, 150), (37, 100, 101, 299)])
@@ -86,7 +87,7 @@ class TestBlockInvariance:
         whole_diag = {}
         whole = compute_rate_series(protocol, self.TIMES, diagnostics=whole_diag)
         values, errors = [], []
-        extra = unconverged = 0
+        extra = unconverged = nodes = 0
         for part in np.split(self.TIMES, cuts):
             diag = {}
             s = compute_rate_series(protocol, part, diagnostics=diag)
@@ -94,10 +95,12 @@ class TestBlockInvariance:
             errors.append(s.estimated_error)
             extra += diag["extra_panels"]
             unconverged += diag["unconverged_samples"]
+            nodes += diag["nodes_evaluated"]
         assert np.array_equal(np.concatenate(values), whole.values)
         assert np.array_equal(np.concatenate(errors), whole.estimated_error)
         assert extra == whole_diag["extra_panels"]
         assert unconverged == whole_diag["unconverged_samples"]
+        assert nodes == whole_diag["nodes_evaluated"]
         assert whole_diag["extra_panels"] > 0
 
     def test_pointwise_equals_series_through_refinement(self):
@@ -107,47 +110,26 @@ class TestBlockInvariance:
             assert (v, e) == rate_function(FIG3, float(t))
 
 
-def test_node_cache_is_bounded(monkeypatch):
-    cap = 256
-    monkeypatch.setattr(observables, "_MAX_PANELS", cap)
-    # a tolerance below roundoff keeps every sample splitting until the
-    # split cap stops it
-    monkeypatch.setattr(observables, "_MAX_SPLITS", 96)
-    quad = _RateQuad(FIG3, tol=1e-18)
-    sizes = []
-    for t in np.linspace(5.4, 5.6, 12):
-        quad.evaluate(float(t))
-        sizes.append(len(quad._children))
-    assert quad.extra_panels > cap
-    assert max(sizes) == cap // 2  # each entry holds a split panel's two halves
-    assert quad.unconverged == 12
-
-
-def test_node_cache_stays_bounded_inside_a_round(monkeypatch):
-    # each sample splits 32 times, the 40 samples split more distinct panels
-    # than the cache holds, and a round keeps its own node data while it
-    # evicts from the full cache
-    cap = 128
-    monkeypatch.setattr(observables, "_MAX_PANELS", cap)
+def test_a_round_evaluates_each_distinct_split_panel_once(monkeypatch):
+    # a tolerance below roundoff keeps each of the 40 samples splitting until
+    # the split cap stops it after 32 rounds; every round fetches the halves
+    # of its distinct split panels with one _node_data call
     monkeypatch.setattr(observables, "_MAX_SPLITS", 32)
-    sizes = []
+    panels = []
+    node_data = observables._node_data
 
-    class RecordingCache(dict):
-        def __setitem__(self, key, value):
-            super().__setitem__(key, value)
-            sizes.append(len(self))
+    def recording_node_data(protocol, lefts, widths):
+        panels.append(list(zip(lefts.tolist(), widths.tolist())))
+        return node_data(protocol, lefts, widths)
 
-    init = _RateQuad.__init__
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        self._children = RecordingCache()
-
-    monkeypatch.setattr(_RateQuad, "__init__", recording_init)
+    monkeypatch.setattr(observables, "_node_data", recording_node_data)
     times = np.linspace(5.4, 5.6, 40)
     diag = {}
     series = compute_rate_series(FIG3, times, tol=1e-18, diagnostics=diag)
-    assert max(sizes) == cap // 2
+    assert len(panels) == 1 + 32  # the base panels, then one call per round
+    for halves in panels[1:]:
+        assert len(set(halves)) == len(halves)
+        assert len(halves) <= 2 * times.size
     assert diag["extra_panels"] == times.size * 32
     assert diag["unconverged_samples"] == times.size
     pointwise = np.array([rate_function(FIG3, float(t), tol=1e-18) for t in times])
@@ -164,7 +146,7 @@ def test_max_splits_and_the_worst_bound_in_the_diagnostics():
     per_sample = []
     for t in times:
         before = quad.extra_panels
-        quad.evaluate(float(t))
+        quad.evaluate_block(np.array([t]))
         per_sample.append(quad.extra_panels - before)
     assert diag["max_splits"] == max(per_sample) > 0
     assert diag["extra_panels"] == sum(per_sample)
@@ -201,3 +183,24 @@ def test_an_empty_grid_has_no_worst_bound():
     assert series.values.size == 0
     assert diag["max_splits"] == diag["extra_panels"] == 0
     assert math.isnan(diag["max_err_bound"]) and math.isnan(diag["max_err_bound_t"])
+
+
+def test_nodes_evaluated_counts_every_integrand_evaluation(monkeypatch):
+    # base nodes at every time plus two 22-node halves per split, and the
+    # same count read off the echoes the quadrature actually evaluates
+    echoes = []
+
+    def counting_echo(*args):
+        echo = mode_echo(*args)
+        echoes.append(echo.size)
+        return echo
+
+    monkeypatch.setattr(observables, "mode_echo", counting_echo)
+    times = np.linspace(5.4, 5.6, 41)
+    diag = {}
+    compute_rate_series(FIG3, times, diagnostics=diag)
+    n_base = _RateQuad(FIG3)._lefts.size
+    assert n_base == 65
+    assert diag["extra_panels"] > 0
+    assert diag["nodes_evaluated"] == times.size * n_base * 22 + 44 * diag["extra_panels"]
+    assert diag["nodes_evaluated"] == sum(echoes)

@@ -5,9 +5,10 @@ _RateQuad once refined each sample over tol on its own, splitting one
 panel per call of _split; now the samples of a block go through lockstep
 rounds that split the next panel of every unfinished sample in one array
 pass.  OldRateQuad below keeps that earlier _refine, _split and
-evaluate_block verbatim, driven per sample from the same bulk rows.
-Values, bounds, extra_panels and unconverged must agree bit for bit, also
-near the ladder rungs, under small flush sizes and when the caps fire.
+evaluate_block verbatim, with the bounded node cache and the block size
+they used, driven per sample from the same bulk rows.  Values, bounds,
+extra_panels and unconverged must agree bit for bit, also near the ladder
+rungs, under small flush sizes and when the split cap fires.
 """
 
 import heapq
@@ -19,16 +20,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqpt import QuenchProtocol, critical_times, imbalance_roots
+from dqpt import QuenchProtocol, critical_times, imbalance_roots, mode_echo
 from dqpt import observables
 from dqpt.observables import _RateQuad, _log_echo_values, _node_data, _panel_sums
 
-_MAX_PANELS = observables._MAX_PANELS
+_MAX_PANELS = 16384  # child panels the oracle's node cache holds
 _MAX_SPLITS = observables._MAX_SPLITS
 
 
 class OldRateQuad(_RateQuad):
     """_RateQuad with the per-sample refinement it replaced."""
+
+    def __init__(self, protocol, tol=1e-8):
+        super().__init__(protocol, tol)
+        self._block = max(1, observables._BLOCK_BYTES // self._imb.nbytes)
+        self._children = {}  # (left, width) of a split panel -> its children's node data
 
     def _split(self, t, left, width):
         """Node data, values and bounds of the two halves of one panel."""
@@ -42,7 +48,7 @@ class OldRateQuad(_RateQuad):
             if 2 * len(self._children) >= _MAX_PANELS:
                 del self._children[next(iter(self._children))]
             self._children[key] = data
-        i15, err = _panel_sums(0.5 * hw, _log_echo_values(data[0], data[1], t))
+        i15, err = _panel_sums(0.5 * hw, _log_echo_values(mode_echo(data[0], data[1], t)))
         return hw, i15.tolist(), err.tolist()
 
     def _refine(self, t, i15, err, total_err):
@@ -95,7 +101,7 @@ class OldRateQuad(_RateQuad):
         bounds = np.empty(times.size)
         for lo in range(0, times.size, self._block):
             tb = times[lo : lo + self._block]
-            v = _log_echo_values(self._imb, self._eps, tb[:, None, None])
+            v = _log_echo_values(mode_echo(self._imb, self._eps, tb[:, None, None]))
             i15, err = _panel_sums(self._half, v)
             total = np.sum(err, axis=-1)
             values[lo : lo + tb.size] = np.sum(i15, axis=-1)
@@ -168,9 +174,8 @@ def test_a_grid_through_a_log_spike_equals_the_per_sample_refinement(small_block
 def test_the_split_cap_stops_refinement_as_before():
     # a tolerance below roundoff keeps every sample splitting until the cap stops it
     times = np.linspace(5.4, 5.6, 30)
-    n_base = _RateQuad(FIG3)._lefts.size
-    caps = {"_MAX_PANELS": n_base + 2 * 40, "_MAX_SPLITS": 25}
-    # the oracle above reads this module's caps, _RateQuad its own
+    caps = {"_MAX_SPLITS": 25}
+    # the oracle above reads this module's cap, _RateQuad its own
     with mock.patch.multiple(observables, **caps), mock.patch.dict(globals(), caps):
         quad = assert_same_refinement(FIG3, times, 1e-18)
     assert quad.extra_panels == times.size * 25

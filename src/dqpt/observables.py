@@ -37,10 +37,12 @@ _RATE_METHODS = ("quadrature", "finite_N")
 
 
 def _check_times(times) -> np.ndarray:
-    """times as a float array; ValueError unless 1-d and strictly increasing."""
+    """times as a float array; ValueError unless 1-d, finite and strictly increasing."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"times must be a 1-d array, got shape {times.shape}")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     if times.size >= 2 and not np.all(np.diff(times) > 0.0):
         raise ValueError("times must be strictly increasing")
     return times
@@ -145,134 +147,82 @@ def _panel_sums(half, v):
     return i15, np.abs(i15 - i7)
 
 
-class _RateQuad:
-    """Reusable rate evaluator for one protocol.
+def _base_panels(protocol):
+    """(lefts, widths) of the base panels: the zone split at the imbalance
+    roots, then into panels no wider than pi/64."""
+    edges = [0.0]
+    for r in imbalance_roots(protocol):
+        if edges[-1] < r < math.pi:
+            edges.append(float(r))
+    edges.append(math.pi)
+    max_w = math.pi / 64.0
+    lefts = []
+    widths = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        m = max(1, math.ceil((b - a) / max_w))
+        sub = np.linspace(a, b, m + 1)
+        lefts.extend(sub[:-1])
+        widths.extend(np.diff(sub))
+    return np.asarray(lefts), np.asarray(widths)
 
-    The base panels split the zone at the imbalance roots and then to a
-    uniform maximum width; their node data (A, eps') is computed once.  A
-    block of times is integrated over all base panels in one numpy pass of
-    shape (time x panel x node), on the time blocks of _echo_blocks.  Each
-    panel carries a 15-point and a 7-point Gauss-Legendre rule, and their
-    difference is its error bound.  Samples whose summed bound exceeds tol
-    are refined by greedy halving in lockstep rounds on array state: (left,
-    width, value, bound) x sample x live panel.  Each round halves, in every
-    unfinished sample, the live panel with the largest bound, the leftmost
-    of equal ones, in one array pass, and evaluates the protocol's modes
-    once per distinct split panel.
 
-    The two rules are deliberately not nested.  In the Gauss-Kronrod 7/15
-    pair the 7 Gauss nodes are among the 15, so a narrow logarithmic spike
-    near a critical time that slips between the 15 is missed by both rules
-    alike and their difference under-reports: at lambda 0.5 -> 2, beta 1,
-    phi -pi/2, t 5.525 that pair claimed 4.0e-9 against a true error of
-    2.65e-8.  Independent node sets do not share that blind spot.
-    """
+def _refine(protocol, tol, lefts, widths, held, values, bounds, splits):
+    """Refine the held samples, blocks of (index, time, i15 row, err row,
+    summed bound) over the base panels (lefts, widths), emptying held;
+    writes each sample's value, bound and number of splits at its index.
 
-    def __init__(self, protocol: QuenchProtocol, tol: float = 1e-8):
-        if not tol > 0.0:
-            raise ValueError(f"tol must be positive, got {tol!r}")
-        self.protocol = protocol
-        self.tol = float(tol)
-        self.extra_panels = 0  # refinement splits accumulated over all calls
-        self.unconverged = 0
-        self.max_splits = 0  # most splits on one sample over all calls
-
-        edges = [0.0]
-        for r in imbalance_roots(protocol):
-            if edges[-1] < r < math.pi:
-                edges.append(float(r))
-        edges.append(math.pi)
-        max_w = math.pi / 64.0
-        lefts = []
-        widths = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            m = max(1, math.ceil((b - a) / max_w))
-            sub = np.linspace(a, b, m + 1)
-            lefts.extend(sub[:-1])
-            widths.extend(np.diff(sub))
-        self._lefts = np.asarray(lefts)
-        self._widths = np.asarray(widths)
-        self._half = 0.5 * self._widths
-        self._imb, self._eps = _node_data(protocol, self._lefts, self._widths)
-
-    def _refine(self, held, values, bounds):
-        """Refine the held samples, blocks of (index, time, i15 row, err row,
-        summed bound) that it empties; writes their values and bounds at index.
-
-        A sample stops once its running bound is within tol or it has split
-        _MAX_SPLITS times; every sample still refining has split once per
-        round, so those that stop together are summed in left order as one
-        array and dropped."""
-        n_base = self._lefts.size
-        index, times, total = (np.concatenate([h[q] for h in held]) for q in (0, 1, 4))
-        # (left, width, GL15 value, bound) x sample x live panel
-        panels = np.empty((4, index.size, n_base))
-        panels[0], panels[1] = self._lefts, self._widths
-        for q in (2, 3):
-            np.concatenate([h[q] for h in held], out=panels[q])
-        held.clear()  # the rows live on in panels only
-        splits = 0
-        while True:
-            done = ~(total > self.tol)  # a NaN total stops too
-            if splits >= _MAX_SPLITS:
-                done[:] = True
-            if done.any():
-                r = np.nonzero(done)[0]
-                # flat positions of each stopped row's panels by left (all distinct)
-                by_left = np.argsort(panels[0, r], axis=1) + (r * panels.shape[2])[:, None]
-                values[index[r]] = panels[2].take(by_left).sum(axis=1)
-                bound = panels[3].take(by_left).sum(axis=1)
-                bounds[index[r]] = bound
-                self.unconverged += int(np.count_nonzero(bound > self.tol))
-                self.extra_panels += splits * r.size
-                self.max_splits = max(self.max_splits, splits)
-                keep = ~done
-                index, times, total, panels = index[keep], times[keep], total[keep], panels[:, keep]
-            if not index.size:
-                return
-            rows = np.arange(index.size)
-            # the split panel: largest bound, then leftmost (never a NaN here:
-            # it would have made the total NaN)
-            largest = panels[3] == panels[3].max(axis=1, keepdims=True)
-            j = np.where(largest, panels[0], math.inf).argmin(axis=1)
-            left, width, _, bound = panels[:, rows, j]
-            # one _node_data call for the halves of each distinct split panel
-            keys = list(zip(left.tolist(), width.tolist()))
-            at = {key: n for n, key in enumerate(dict.fromkeys(keys))}
-            nl, nw = np.array(list(at)).T
-            hw = 0.5 * nw
-            data = _node_data(self.protocol, np.stack([nl, nl + hw], 1).ravel(), np.repeat(hw, 2))
-            pick = [at[key] for key in keys]
-            imb, eps = (d.reshape(-1, 2, _NODES_X.size)[pick] for d in data)
-            v = _log_echo_values(mode_echo(imb, eps, times[:, None, None]))  # sample x half x node
-            hw = 0.5 * width
-            ci, ce = _panel_sums(0.5 * hw[:, None], v)
-            total = total + ce[:, 0] + ce[:, 1] - bound  # rounding follows this order
-            panels[1:, rows, j] = hw, ci[:, 0], ce[:, 0]  # child 0 takes the split column
-            child = np.stack([left + hw, hw, ci[:, 1], ce[:, 1]])
-            panels = np.concatenate([panels, child[:, :, None]], axis=2)
-            splits += 1
-
-    def evaluate_block(self, times):
-        """Integrate at each of a 1-d float array of times; returns (values, bounds)."""
-        values = np.empty(times.size)
-        bounds = np.empty(times.size)
-        # held samples (an i15 and an err row each, then four panel rows in
-        # refinement) are refined once they fill about one _BLOCK_BYTES, and at the end
-        flush = max(1, _BLOCK_BYTES // (4 * self._half.nbytes))
-        held, n_held = [], 0
-        for lo, tb, (v,) in _echo_blocks(self._eps, times, self._imb):
-            i15, err = _panel_sums(self._half, _log_echo_values(v))
-            total = np.sum(err, axis=-1)
-            values[lo : lo + tb.size] = np.sum(i15, axis=-1)
-            bounds[lo : lo + tb.size] = total
-            over = np.nonzero(total > self.tol)[0]  # fancy indexing copies the rows
-            held.append((lo + over, tb[over], i15[over], err[over], total[over]))
-            n_held += over.size
-            if n_held >= flush or lo + tb.size >= times.size:
-                self._refine(held, values, bounds)  # empties held
-                n_held = 0
-        return values, bounds
+    Greedy halving in lockstep rounds on array state: (left, width, value,
+    bound) x sample x live panel.  Each round halves, in every unfinished
+    sample, the live panel with the largest bound, the leftmost of equal
+    ones, in one array pass, and evaluates the protocol's modes once per
+    distinct split panel.  A sample stops once its running bound is within
+    tol or it has split _MAX_SPLITS times; every sample still refining has
+    split once per round, so those that stop together are summed in left
+    order as one array and dropped."""
+    index, times, total = (np.concatenate([h[q] for h in held]) for q in (0, 1, 4))
+    panels = np.empty((4, index.size, lefts.size))
+    panels[0], panels[1] = lefts, widths
+    for q in (2, 3):
+        np.concatenate([h[q] for h in held], out=panels[q])
+    held.clear()  # the rows live on in panels only
+    n = 0  # splits of every sample still refining
+    while True:
+        done = ~(total > tol)  # a NaN total stops too
+        if n >= _MAX_SPLITS:
+            done[:] = True
+        if done.any():
+            r = np.nonzero(done)[0]
+            # flat positions of each stopped row's panels by left (all distinct)
+            by_left = np.argsort(panels[0, r], axis=1) + (r * panels.shape[2])[:, None]
+            values[index[r]] = panels[2].take(by_left).sum(axis=1)
+            bounds[index[r]] = panels[3].take(by_left).sum(axis=1)
+            splits[index[r]] = n
+            keep = ~done
+            index, times, total, panels = index[keep], times[keep], total[keep], panels[:, keep]
+        if not index.size:
+            return
+        rows = np.arange(index.size)
+        # the split panel: largest bound, then leftmost (never a NaN here:
+        # it would have made the total NaN)
+        largest = panels[3] == panels[3].max(axis=1, keepdims=True)
+        j = np.where(largest, panels[0], math.inf).argmin(axis=1)
+        left, width, _, bound = panels[:, rows, j]
+        # one _node_data call for the halves of each distinct split panel
+        keys = list(zip(left.tolist(), width.tolist()))
+        at = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+        nl, nw = np.array(list(at)).T
+        hw = 0.5 * nw
+        data = _node_data(protocol, np.stack([nl, nl + hw], 1).ravel(), np.repeat(hw, 2))
+        pick = [at[key] for key in keys]
+        imb, eps = (d.reshape(-1, 2, _NODES_X.size)[pick] for d in data)
+        v = _log_echo_values(mode_echo(imb, eps, times[:, None, None]))  # sample x half x node
+        hw = 0.5 * width
+        ci, ce = _panel_sums(0.5 * hw[:, None], v)
+        total = total + ce[:, 0] + ce[:, 1] - bound  # rounding follows this order
+        panels[1:, rows, j] = hw, ci[:, 0], ce[:, 0]  # child 0 takes the split column
+        child = np.stack([left + hw, hw, ci[:, 1], ce[:, 1]])
+        panels = np.concatenate([panels, child[:, :, None]], axis=2)
+        n += 1
 
 
 def rate_function(protocol: QuenchProtocol, t, tol: float = 1e-8):
@@ -280,12 +230,11 @@ def rate_function(protocol: QuenchProtocol, t, tol: float = 1e-8):
 
     The error bound is the summed per-panel GL15-vs-GL7 discrepancy; a
     bound above tol means the subdivision budget ran out (the value is
-    still the best available and the caller should flag it).  This is a
-    time block of one through the same code as compute_rate_series, so
-    the two agree bit for bit.
+    still the best available and the caller should flag it).  A time grid
+    of one through compute_rate_series, so the two agree bit for bit.
     """
-    values, bounds = _RateQuad(protocol, tol).evaluate_block(np.array([float(t)]))
-    return float(values[0]), float(bounds[0])
+    series = compute_rate_series(protocol, [float(t)], tol)
+    return float(series.values[0]), float(series.estimated_error[0])
 
 
 def compute_rate_series(
@@ -294,25 +243,61 @@ def compute_rate_series(
     tol: float = 1e-8,
     diagnostics: dict | None = None,
 ) -> RateSeries:
-    """rate_function swept over a time grid in blocks of times.
+    """The thermodynamic-limit rate over a time grid, with its error bounds.
+
+    The base panels (_base_panels) and their node data (A, eps') are built
+    once.  A block of times is integrated over all base panels in one numpy
+    pass of shape (time x panel x node), on the time blocks of _echo_blocks.
+    Each panel carries a 15-point and a 7-point Gauss-Legendre rule, and
+    their difference is its error bound.  Samples whose summed bound
+    exceeds tol are held and refined (_refine) once they fill about one
+    _BLOCK_BYTES, and at the end of the grid.
+
+    The two rules are deliberately not nested.  In the Gauss-Kronrod 7/15
+    pair the 7 Gauss nodes are among the 15, so a narrow logarithmic spike
+    near a critical time that slips between the 15 is missed by both rules
+    alike and their difference under-reports: at lambda 0.5 -> 2, beta 1,
+    phi -pi/2, t 5.525 that pair claimed 4.0e-9 against a true error of
+    2.65e-8.  Independent node sets do not share that blind spot.
 
     diagnostics, if given, receives the integrand evaluations
     (nodes_evaluated), the refinement splits (extra_panels), the samples
-    left above tol (unconverged_samples), the most splits on one sample
-    (max_splits), and the largest error bound (max_err_bound, a NaN bound
-    counting as the largest) with its time (max_err_bound_t).
+    whose bound exceeds tol (unconverged_samples), the most splits on one
+    sample (max_splits), and the largest error bound (max_err_bound, a NaN
+    bound counting as the largest) with its time (max_err_bound_t).
     """
     times = _check_times(times)
-    quad = _RateQuad(protocol, tol)
-    values, errors = quad.evaluate_block(times)
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    tol = float(tol)
+    lefts, widths = _base_panels(protocol)
+    half = 0.5 * widths
+    imb, eps = _node_data(protocol, lefts, widths)
+    values, errors = np.empty(times.size), np.empty(times.size)
+    splits = np.zeros(times.size, dtype=np.int64)
+    # held samples (an i15 and an err row each, then four panel rows in
+    # refinement) are refined once they fill about one _BLOCK_BYTES, and at the end
+    flush = max(1, _BLOCK_BYTES // (4 * half.nbytes))
+    held, n_held = [], 0
+    for lo, tb, (v,) in _echo_blocks(eps, times, imb):
+        i15, err = _panel_sums(half, _log_echo_values(v))
+        total = np.sum(err, axis=-1)
+        values[lo : lo + tb.size] = np.sum(i15, axis=-1)
+        errors[lo : lo + tb.size] = total
+        over = np.nonzero(total > tol)[0]  # fancy indexing copies the rows
+        held.append((lo + over, tb[over], i15[over], err[over], total[over]))
+        n_held += over.size
+        if n_held >= flush or lo + tb.size >= times.size:
+            _refine(protocol, tol, lefts, widths, held, values, errors, splits)  # empties held
+            n_held = 0
     if diagnostics is not None:
         worst = int(np.argmax(errors)) if errors.size else None  # argmax finds a NaN first
+        extra = int(splits.sum())
         # integrand evaluations: every base node at every time, two halves per split
-        nodes = times.size * quad._imb.size + 2 * _NODES_X.size * quad.extra_panels
-        diagnostics["nodes_evaluated"] = nodes
-        diagnostics["extra_panels"] = quad.extra_panels
-        diagnostics["unconverged_samples"] = quad.unconverged
-        diagnostics["max_splits"] = quad.max_splits
+        diagnostics["nodes_evaluated"] = times.size * imb.size + 2 * _NODES_X.size * extra
+        diagnostics["extra_panels"] = extra
+        diagnostics["unconverged_samples"] = int(np.count_nonzero(errors > tol))
+        diagnostics["max_splits"] = int(splits.max(initial=0))
         diagnostics["max_err_bound"] = math.nan if worst is None else float(errors[worst])
         diagnostics["max_err_bound_t"] = math.nan if worst is None else float(times[worst])
     return RateSeries(

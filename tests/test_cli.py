@@ -6,7 +6,7 @@ import pytest
 
 from dqpt import QuenchProtocol, critical_times, dispersion
 from dqpt.cli import ConfigError, RunManifest, main, parse_number, read_config_file
-from dqpt.observables import _RateQuad
+from dqpt.observables import _base_panels
 
 K_STAR = math.acos(0.8)
 T_STAR = math.pi / (2.0 * dispersion(K_STAR, 2.0))
@@ -460,7 +460,7 @@ def test_rate_and_cell_manifests_report_max_splits_and_the_worst_bound(tmp_path)
                 "rate.nodes_evaluated"):
         assert cell_manifest[key] == manifest[key]
     # every base node at each of the 21 times, two 22-node halves per split
-    n_base = _RateQuad(QuenchProtocol(0.5, 2.0, 1.0, -math.pi / 2))._lefts.size
+    n_base = _base_panels(QuenchProtocol(0.5, 2.0, 1.0, -math.pi / 2))[0].size
     nodes = 21 * n_base * 22 + 44 * int(manifest["rate.extra_panels"])
     assert int(manifest["rate.nodes_evaluated"]) == nodes
 
@@ -524,7 +524,7 @@ def test_sweep_cells_sharing_a_directory_name_exit_2(tmp_path, capsys, betas):
 
 # windows whose linspace floating point cannot make strictly increasing: two
 # steps one ulp apart repeat a time, and a span past the largest float
-# overflows to NaN times
+# overflows to NaN times, rejected as not finite
 ULP_WINDOW = ["--t-min", "1", "--t-max", "1.0000000000000002", "--steps", "3"]
 OVERFLOW_WINDOW = ["--t-min", "-1e308", "--t-max", "1e308", "--steps", "3"]
 
@@ -587,6 +587,20 @@ def test_steps_above_the_cap_exit_2_before_any_time_grid(tmp_path, capsys, monke
     assert main(argv) == 2
     assert capsys.readouterr().err == "dqpt: steps must be <= 10000000, got 10000001\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("task", ["zeros", "critical-modes", "variant-report"])
+def test_tasks_that_read_no_time_grid_build_none(tmp_path, monkeypatch, task):
+    expected = tmp_path / "expected.csv"
+    assert main([task, "--steps", "401", "--out", str(expected)]) == 0
+
+    def no_grid(cfg):
+        raise AssertionError("the time grid was built")
+
+    monkeypatch.setattr("dqpt.cli._times", no_grid)
+    out = tmp_path / "x.csv"
+    assert main([task, "--steps", "10000000", "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_the_steps_cap_is_inclusive(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,9 @@ a ``noqa`` comment that gives the reason in parentheses.  The time blocks
 of the echo loops and their 64-byte-aligned buffers are decided in one
 place: _BLOCK_BYTES and _aligned_empty are named only in mode_dynamics,
 which defines the buffers, and observables, whose _echo_blocks is the one
-function that allocates echo buffers.
+function that allocates echo buffers.  Every private name README.md puts
+in backticks still resolves: to a definition in src/dqpt, or to a name in
+the tests (the oracles keep some that the library has dropped).
 """
 
 import ast
@@ -15,6 +17,7 @@ import re
 import dqpt
 
 SRC = pathlib.Path(dqpt.__file__).parent
+ROOT = pathlib.Path(__file__).parent.parent
 NOQA = re.compile(r"#\s*noqa:\s*[A-Z]+\d+\s*\((?P<reason>[^)]*\w[^)]*)\)")
 # imports that only the benchmark's tracer looks up (perfbench/tracer.py WRAPPED)
 TRACED = {
@@ -111,3 +114,45 @@ def test_block_size_and_aligned_buffers_are_named_in_one_place():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and "_aligned_empty" in named(node)
     }
     assert allocating == {"_echo_blocks"}
+
+
+def defined(tree):
+    """Names a tree binds: assigned, or a def or class."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.name
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store))
+        or isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+# `_name` or `module._name` in backticks
+README_NAME = re.compile(r"`(?:(?P<module>[A-Za-z]\w*)\.)?(?P<name>_[A-Za-z0-9]\w*)`")
+
+
+def unresolved_readme_names(text):
+    """Backticked private names of text that src/dqpt does not define and
+    tests/ does not name; `module._name` must be defined in that module."""
+    modules = {module: defined(tree) for module, (_, tree) in parsed().items()}
+    in_src = set().union(*modules.values())
+    in_tests = set().union(
+        *(named(ast.parse(p.read_text(encoding="utf-8"))) for p in (ROOT / "tests").glob("*.py"))
+    )
+    out = set()
+    for match in README_NAME.finditer(text):
+        module, name = match.group("module", "name")
+        if module is not None:
+            if name not in modules.get(module, ()):
+                out.add(match.group(0))
+        elif name not in in_src | in_tests:
+            out.add(match.group(0))
+    return out
+
+
+def test_every_private_name_in_the_readme_resolves():
+    assert unresolved_readme_names((ROOT / "README.md").read_text(encoding="utf-8")) == set()
+
+
+def test_the_finder_sees_an_unresolved_readme_name():
+    text = "`_echo_blocks`, `_split`, `_RateQuad`, `observables._node_data`, `model._node_data`"
+    assert unresolved_readme_names(text) == {"`_RateQuad`", "`model._node_data`"}

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -124,27 +125,39 @@ def _no_echo(*args):
     raise AssertionError("an echo was evaluated")
 
 
+QUADRATURE = functools.partial(compute_rate_series, STANDARD)
+FINITE_N = functools.partial(compute_rate_series_finite, STANDARD, 20)
+TWO_D = "times must be a 1-d array, got shape \\(2, 3\\)"
+
+
 @pytest.mark.parametrize(
-    "series",
+    "call, times, message",
     [
-        lambda times: compute_rate_series(STANDARD, times),
-        lambda times: compute_rate_series_finite(STANDARD, 20, times),
+        (QUADRATURE, np.linspace(0.0, 1.0, 6).reshape(2, 3), TWO_D),
+        (FINITE_N, np.linspace(0.0, 1.0, 6).reshape(2, 3), TWO_D),
+        (QUADRATURE, np.array([0.0, 2.0, 1.0]), "times must be strictly increasing"),
+        (FINITE_N, np.array([0.0, 2.0, 1.0]), "times must be strictly increasing"),
+        (QUADRATURE, [0.0, math.inf], "times must be finite"),
+        (FINITE_N, [0.0, math.nan], "times must be finite"),
+        (functools.partial(rate_function, STANDARD), math.inf, "times must be finite"),
+        (functools.partial(rate_function_finite, STANDARD, 20), -math.inf, "times must be finite"),
     ],
-    ids=["quadrature", "finite_N"],
-)
-@pytest.mark.parametrize(
-    "times, message",
-    [
-        (np.linspace(0.0, 1.0, 6).reshape(2, 3), "times must be a 1-d array, got shape \\(2, 3\\)"),
-        (np.array([0.0, 2.0, 1.0]), "times must be strictly increasing"),
+    ids=[
+        "2d-quadrature",
+        "2d-finite_N",
+        "decreasing-quadrature",
+        "decreasing-finite_N",
+        "inf-quadrature",
+        "nan-finite_N",
+        "inf-rate_function",
+        "-inf-rate_function_finite",
     ],
-    ids=["2d", "decreasing"],
 )
-def test_a_bad_time_grid_fails_before_any_echo(monkeypatch, series, times, message):
+def test_a_bad_time_grid_fails_before_any_echo(monkeypatch, call, times, message):
     # the rule of RateSeries, checked before the grid is integrated
     monkeypatch.setattr(observables, "mode_echo", _no_echo)
     with pytest.raises(ValueError, match=message):
-        series(times)
+        call(times)
 
 
 class TestCriticalRateFunction:

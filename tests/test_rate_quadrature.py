@@ -1,13 +1,17 @@
 """The blocked rate quadrature: honest bounds, block invariance, work counts."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_rate_refine_oracle import protocol_st
 
 from dqpt import QuenchProtocol, compute_rate_series, critical_times, imbalance_roots, rate_function
 from dqpt import mode_echo, observables
-from dqpt.observables import _RateQuad, _echo_blocks
+from dqpt.observables import _base_panels, _echo_blocks, _node_data
 
 STANDARD = QuenchProtocol(0.5, 2.0, 10.0)
 # fig3 cell: lambda 0.5 -> 2, beta 1, phi -pi/2, with a log spike near t = 5.525
@@ -78,8 +82,8 @@ class TestBlockInvariance:
 
     @pytest.mark.parametrize("protocol", [STANDARD, FIG3])
     def test_grid_spans_several_blocks(self, protocol):
-        quad = _RateQuad(protocol)
-        assert sum(1 for _ in _echo_blocks(quad._eps, self.TIMES, quad._imb)) > 3
+        imb, eps = _node_data(protocol, *_base_panels(protocol))
+        assert sum(1 for _ in _echo_blocks(eps, self.TIMES, imb)) > 3
 
     @pytest.mark.parametrize("protocol", [STANDARD, FIG3])
     @pytest.mark.parametrize("cuts", [(1,), (7, 8, 150), (37, 100, 101, 299)])
@@ -137,21 +141,34 @@ def test_a_round_evaluates_each_distinct_split_panel_once(monkeypatch):
     assert np.array_equal(series.estimated_error.view(np.int64), pointwise[:, 1].view(np.int64))
 
 
-def test_max_splits_and_the_worst_bound_in_the_diagnostics():
-    times = np.linspace(5.4, 5.6, 41)
-    diag = {}
-    series = compute_rate_series(FIG3, times, diagnostics=diag)
-    # each sample's splits, one time at a time through one evaluator
-    quad = _RateQuad(FIG3)
-    per_sample = []
-    for t in times:
-        before = quad.extra_panels
-        quad.evaluate_block(np.array([t]))
-        per_sample.append(quad.extra_panels - before)
-    assert diag["max_splits"] == max(per_sample) > 0
+@given(
+    protocol_st,
+    st.lists(st.floats(0.05, 6.0), min_size=1, max_size=8).map(np.unique),
+    st.sampled_from([1e-8, 1e-10, 1e-12]),
+    st.one_of(st.just(observables._MAX_SPLITS), st.integers(3, 40)),
+)
+@example(FIG3, np.linspace(5.4, 5.6, 41), 1e-8, observables._MAX_SPLITS)
+@settings(deadline=None, max_examples=50)
+def test_max_splits_and_the_worst_bound_in_the_diagnostics(protocol, times, tol, cap):
+    with mock.patch.object(observables, "_MAX_SPLITS", cap):
+        diag = {}
+        series = compute_rate_series(protocol, times, tol, diagnostics=diag)
+        # each sample's splits, from a series of that one time
+        per_sample = []
+        for t in times:
+            one = {}
+            compute_rate_series(protocol, [t], tol, diagnostics=one)
+            per_sample.append(one["extra_panels"])
+    with mock.patch.object(observables, "_MAX_SPLITS", 0):
+        base = compute_rate_series(protocol, times, tol).estimated_error
+    # a sample splits exactly when its base-panel bound is over tol
+    assert [n > 0 for n in per_sample] == (base > tol).tolist()
+    assert diag["max_splits"] == max(per_sample)
     assert diag["extra_panels"] == sum(per_sample)
-    worst = int(np.argmax(series.estimated_error))
-    assert diag["max_err_bound"] == series.estimated_error[worst] == series.estimated_error.max()
+    bounds = series.estimated_error
+    assert diag["unconverged_samples"] == np.count_nonzero(bounds > tol)
+    worst = int(np.argmax(bounds))
+    assert diag["max_err_bound"] == bounds[worst] == bounds.max()
     assert diag["max_err_bound_t"] == times[worst]
 
 
@@ -164,17 +181,17 @@ def test_max_splits_reads_the_split_cap(monkeypatch):
 
 
 def test_a_nan_bound_is_the_worst_bound(monkeypatch):
-    def nan_at_2(self, times):
-        errors = np.full(times.size, 1e-9)
-        errors[2] = math.nan
-        errors[3] = 1.0
-        return np.zeros(times.size), errors
+    def nan_at_2(protocol, tol, lefts, widths, held, values, bounds, splits):
+        bounds[:] = 1e-9
+        bounds[2] = math.nan
+        bounds[3] = 1.0
 
-    monkeypatch.setattr(_RateQuad, "evaluate_block", nan_at_2)
+    monkeypatch.setattr(observables, "_refine", nan_at_2)
     diag = {}
     compute_rate_series(STANDARD, np.linspace(0.0, 1.0, 5), diagnostics=diag)
     assert math.isnan(diag["max_err_bound"])
     assert diag["max_err_bound_t"] == 0.5
+    assert diag["unconverged_samples"] == 1  # the bound 1.0; a NaN bound is not over tol
 
 
 def test_an_empty_grid_has_no_worst_bound():
@@ -199,7 +216,7 @@ def test_nodes_evaluated_counts_every_integrand_evaluation(monkeypatch):
     times = np.linspace(5.4, 5.6, 41)
     diag = {}
     compute_rate_series(FIG3, times, diagnostics=diag)
-    n_base = _RateQuad(FIG3)._lefts.size
+    n_base = _base_panels(FIG3)[0].size
     assert n_base == 65
     assert diag["extra_panels"] > 0
     assert diag["nodes_evaluated"] == times.size * n_base * 22 + 44 * diag["extra_panels"]

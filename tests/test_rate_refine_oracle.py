@@ -1,14 +1,16 @@
 """The lockstep rate refinement against its earlier per-sample form, kept
 here as the oracle.
 
-_RateQuad once refined each sample over tol on its own, splitting one
-panel per call of _split; now the samples of a block go through lockstep
-rounds that split the next panel of every unfinished sample in one array
-pass.  OldRateQuad below keeps that earlier _refine, _split and
-evaluate_block verbatim, with the bounded node cache and the block size
-they used, driven per sample from the same bulk rows.  Values, bounds,
-extra_panels and unconverged must agree bit for bit, also near the ladder
-rungs, under small flush sizes and when the split cap fires.
+The rate quadrature once refined each sample over tol on its own,
+splitting one panel per call of _split; now the held samples go through
+lockstep rounds (_refine) that split the next panel of every unfinished
+sample in one array pass.  OldRateQuad below keeps that earlier _refine,
+_split and evaluate_block verbatim, with the bounded node cache and the
+block size they used, driven per sample from the same bulk rows.  Values
+and bounds must agree bit for bit with compute_rate_series, and its
+extra_panels and unconverged_samples with the oracle's counters, also
+near the ladder rungs, under small flush sizes and when the split cap
+fires.
 """
 
 import heapq
@@ -20,19 +22,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqpt import QuenchProtocol, critical_times, imbalance_roots, mode_echo
+from dqpt import QuenchProtocol, compute_rate_series, critical_times, imbalance_roots, mode_echo
 from dqpt import observables
-from dqpt.observables import _RateQuad, _log_echo_values, _node_data, _panel_sums
+from dqpt.observables import _base_panels, _log_echo_values, _node_data, _panel_sums, _refine
 
 _MAX_PANELS = 16384  # child panels the oracle's node cache holds
 _MAX_SPLITS = observables._MAX_SPLITS
 
 
-class OldRateQuad(_RateQuad):
-    """_RateQuad with the per-sample refinement it replaced."""
+class OldRateQuad:
+    """The rate evaluator with the per-sample refinement that _refine replaced."""
 
     def __init__(self, protocol, tol=1e-8):
-        super().__init__(protocol, tol)
+        self.protocol = protocol
+        self.tol = float(tol)
+        self.extra_panels = 0  # refinement splits accumulated over all calls
+        self.unconverged = 0
+        self._lefts, self._widths = _base_panels(protocol)
+        self._half = 0.5 * self._widths
+        self._imb, self._eps = _node_data(protocol, self._lefts, self._widths)
         self._block = max(1, observables._BLOCK_BYTES // self._imb.nbytes)
         self._children = {}  # (left, width) of a split panel -> its children's node data
 
@@ -114,14 +122,16 @@ class OldRateQuad(_RateQuad):
 
 
 def assert_same_refinement(protocol, times, tol):
-    new, old = _RateQuad(protocol, tol), OldRateQuad(protocol, tol)
-    values, bounds = new.evaluate_block(times)
+    """The series against the oracle; returns the series' diagnostics."""
+    diag = {}
+    series = compute_rate_series(protocol, times, tol, diagnostics=diag)
+    old = OldRateQuad(protocol, tol)
     old_values, old_bounds = old.evaluate_block(times)
-    assert np.array_equal(values.view(np.int64), old_values.view(np.int64))
-    assert np.array_equal(bounds.view(np.int64), old_bounds.view(np.int64))
-    assert new.extra_panels == old.extra_panels
-    assert new.unconverged == old.unconverged
-    return new
+    assert np.array_equal(series.values.view(np.int64), old_values.view(np.int64))
+    assert np.array_equal(series.estimated_error.view(np.int64), old_bounds.view(np.int64))
+    assert diag["extra_panels"] == old.extra_panels
+    assert diag["unconverged_samples"] == old.unconverged
+    return diag
 
 
 # perfbench's protocol distribution (coupling 1)
@@ -167,26 +177,26 @@ def test_a_grid_through_a_log_spike_equals_the_per_sample_refinement(small_block
     # many samples over tol at once: several flushes and rounds, shared children
     block_bytes = 1 << 14 if small_blocks else observables._BLOCK_BYTES
     with mock.patch.object(observables, "_BLOCK_BYTES", block_bytes):
-        quad = assert_same_refinement(FIG3, np.linspace(0.0, 6.0, 601), 1e-8)
-    assert quad.extra_panels > 100
+        diag = assert_same_refinement(FIG3, np.linspace(0.0, 6.0, 601), 1e-8)
+    assert diag["extra_panels"] > 100
 
 
 def test_the_split_cap_stops_refinement_as_before():
     # a tolerance below roundoff keeps every sample splitting until the cap stops it
     times = np.linspace(5.4, 5.6, 30)
     caps = {"_MAX_SPLITS": 25}
-    # the oracle above reads this module's cap, _RateQuad its own
+    # the oracle above reads this module's cap, _refine its own
     with mock.patch.multiple(observables, **caps), mock.patch.dict(globals(), caps):
-        quad = assert_same_refinement(FIG3, times, 1e-18)
-    assert quad.extra_panels == times.size * 25
-    assert quad.unconverged == times.size
+        diag = assert_same_refinement(FIG3, times, 1e-18)
+    assert diag["extra_panels"] == times.size * 25
+    assert diag["unconverged_samples"] == times.size
 
 
 def test_a_full_fig3_cell_equals_the_per_sample_refinement():
     # configs/fig3.cfg at beta 0.1, phi -pi/2: its whole time grid
     protocol = QuenchProtocol(0.5, 2.0, 0.1, -math.pi / 2)
-    quad = assert_same_refinement(protocol, np.linspace(0.0, 6.0, 2401), 1e-8)
-    assert quad.extra_panels > 200
+    diag = assert_same_refinement(protocol, np.linspace(0.0, 6.0, 2401), 1e-8)
+    assert diag["extra_panels"] > 200
 
 
 def _synthetic_panel_sums(half, v):
@@ -201,24 +211,25 @@ def test_equal_bounds_split_the_leftmost_panel_as_the_heap_did():
     # every round has ties, and child 1 of a split sits in a later column
     # than base panels to its right, so only "largest bound, then leftmost"
     # gives the heap's order
-    quad, old = _RateQuad(FIG3), OldRateQuad(FIG3)
-    n_base = quad._lefts.size
+    lefts, widths = _base_panels(FIG3)
+    old = OldRateQuad(FIG3)
+    n_base = lefts.size
     err = np.ones((3, n_base))
     err[1, 10] = 2.0
     err[2, -1] = 1.5
     i15 = np.arange(3 * n_base, dtype=float).reshape(3, n_base)
     times = np.array([1.0, 2.0, 3.0])
     total = np.sum(err, axis=1)
-    values, bounds = np.empty(3), np.empty(3)
+    values, bounds, splits = np.empty(3), np.empty(3), np.zeros(3, dtype=np.int64)
     caps = {"_MAX_SPLITS": 12}
     with (
         mock.patch.multiple(observables, _panel_sums=_synthetic_panel_sums, **caps),
         mock.patch.dict(globals(), {"_panel_sums": _synthetic_panel_sums, **caps}),
     ):
         held = [(np.arange(3), times, i15.copy(), err.copy(), total.copy())]
-        quad._refine(held, values, bounds)
+        _refine(FIG3, 1e-8, lefts, widths, held, values, bounds, splits)
         expected = [old._refine(t, i15[s], err[s], float(total[s])) for s, t in enumerate(times)]
     assert values.tolist() == [v for v, _ in expected]
     assert bounds.tolist() == [b for _, b in expected]
-    assert quad.extra_panels == old.extra_panels == 3 * 12
-    assert quad.max_splits == 12
+    assert splits.sum() == old.extra_panels == 3 * 12
+    assert splits.max() == 12

@@ -3,7 +3,8 @@
 One task per invocation; every run writes one CSV data file plus a flat
 key-value manifest next to it.  Configuration comes from ``key = value``
 files and/or flags, flags winning.  Exit codes: 0 success, 2 config error,
-3 numerical degradation (output still written, flagged in the manifest).
+3 numerical degradation or a failed sweep cell (output still written,
+flagged in the manifest).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, observables
 from .criticality import VARIANTS, critical_modes, fisher_zero_line, variant_report
 from .mode_dynamics import (  # noqa: F401 (perfbench traces null_work_decomposition here)
     boundary_partition,
@@ -59,6 +60,8 @@ def _fmt(x) -> str:
 
 _INF_WORDS = {"inf", "infinity", "infinite"}
 _MAX_STEPS = 10**7  # time grid length (80 MB of times) and ladder length
+_MAX_SITES = 10**7  # chain length: 40 MB per mode array
+_MAX_ECHO_ROWS = 10**8  # echo-decomposition rows, steps x n_sites/2: about 7 GB of CSV
 _PI_RE = re.compile(
     r"^\s*([+-]?)\s*(?:(\d+(?:\.\d*)?|\.\d+)\s*\*?\s*)?pi\s*(?:/\s*(\d+(?:\.\d*)?|\.\d+))?\s*$",
     re.IGNORECASE,
@@ -212,6 +215,13 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"k_resolution must be >= 64, got {cfg.k_resolution}")
     if cfg.n_sites < 2 or cfg.n_sites % 2:
         raise ConfigError(f"n_sites must be even and >= 2, got {cfg.n_sites}")
+    if cfg.n_sites > _MAX_SITES:  # before any task builds its modes
+        raise ConfigError(f"n_sites must be <= {_MAX_SITES}, got {cfg.n_sites}")
+    if cfg.task == "echo-decomposition" and cfg.steps * (cfg.n_sites // 2) > _MAX_ECHO_ROWS:
+        raise ConfigError(
+            f"echo-decomposition would write steps x n_sites/2 = {cfg.steps * (cfg.n_sites // 2)}"
+            f" rows, above the cap of {_MAX_ECHO_ROWS}"
+        )
     if cfg.n_max < 0:
         raise ConfigError(f"n_max must be >= 0, got {cfg.n_max}")
     if cfg.n_max > _MAX_STEPS:  # before critical_times builds a ladder per critical mode
@@ -336,19 +346,22 @@ def _task_rate(cfg, warnings):
     if singular:
         warnings.append(f"{singular} rate samples singular or above tolerance")
     columns = (series.times, series.values, series.estimated_error, bad)
-    diag = [("rate." + key, value) for key, value in diag_in.items()]
+    diag = [("blocks.threads", diag_in.pop("block_threads"))]
+    diag += [("rate." + key, value) for key, value in diag_in.items()]
     diag.append(("rate.singular_rows", singular))
     return series, zip(*(c.tolist() for c in columns)), diag, singular > 0
 
 
 def _task_rate_finite(cfg, warnings):
-    series = compute_rate_series_finite(_protocol(cfg), cfg.n_sites, _times(cfg))
+    diag_in: dict = {}
+    series = compute_rate_series_finite(_protocol(cfg), cfg.n_sites, _times(cfg), diag_in)
     bad = ~np.isfinite(series.values)
     singular = int(bad.sum())
     if singular:
         warnings.append(f"{singular} finite-size samples hit an exact amplitude zero")
     rows = zip(series.times.tolist(), series.values.tolist(), bad.tolist())
-    return series, rows, [("rate_finite.singular_rows", singular)], singular > 0
+    diag = [("blocks.threads", diag_in["block_threads"]), ("rate_finite.singular_rows", singular)]
+    return series, rows, diag, singular > 0
 
 
 def _task_zeros(cfg, warnings):
@@ -406,16 +419,26 @@ def _task_echo_decomposition(cfg, warnings):
     # the null-work probability cos^2 + sin^2 cos^2(2 dtheta) is the echo
     # with the imbalance replaced by cos(2 dtheta)
     null_imbalance = np.cos(2.0 * coeffs.delta_theta)
+    diag_in: dict = {}
+    # (time block x mode) echoes, copied out of the block threads' buffers
+    blocks = _echo_blocks(
+        lambda lo, tb, echoes: (tb, *(e.copy() for e in echoes)),
+        coeffs.eps_post,
+        times,
+        coeffs.imbalance,
+        null_imbalance,
+        diagnostics=diag_in,
+    )
 
-    def rows():  # (time block x mode) echoes; t and k are formatted once each
+    def rows():  # t and k are formatted once each
         k_text = ["%.17g" % k for k in momenta.tolist()]
-        blocks = _echo_blocks(coeffs.eps_post, times, coeffs.imbalance, null_imbalance)
-        for _, tb, (echo, null) in blocks:
+        for tb, echo, null in blocks:
             for t, echo_t, null_t in zip(tb.tolist(), echo, null):
                 columns = (echo_t.tolist(), null_t.tolist(), (echo_t - null_t).tolist())
                 yield from zip(itertools.repeat("%.17g" % t), k_text, *columns)
 
-    return None, rows(), [("echo.rows", times.size * momenta.size)], False
+    diag = [("blocks.threads", diag_in["block_threads"]), ("echo.rows", times.size * momenta.size)]
+    return None, rows(), diag, False
 
 
 def _task_variant_report(cfg, warnings):
@@ -498,6 +521,22 @@ def _sweep_cell(payload):
     return row, degraded
 
 
+def _share_cores(workers: int):
+    """Pool initializer: the block threads of the workers share the CPUs."""
+    observables._BLOCK_THREADS = max(1, observables._cpus() // workers)
+
+
+def _guarded_cell(payload):
+    """_sweep_cell as (index row, degraded, None), or as (None, False,
+    "<cell name>: <error>" on one line) if the cell raised."""
+    try:
+        row, degraded = _sweep_cell(payload)
+    except Exception as exc:
+        error = " ".join(f"{type(exc).__name__}: {exc}".split())
+        return None, False, f"{os.path.basename(payload[1])}: {error}"
+    return row, degraded, None
+
+
 _INDEX = (
     "cell,beta,phi,lambda_post,n_critical_modes,first_critical_time,cusp_count",
     "%s,%.17g,%.17g,%.17g,%d,%.17g,%d\n",
@@ -543,21 +582,26 @@ def _run_sweep(cfg: RunConfig) -> int:
 
     workers = min(cfg.jobs, len(payloads))  # a pool forks all its workers up front
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, payloads))
+        with ProcessPoolExecutor(workers, initializer=_share_cores, initargs=(workers,)) as pool:
+            results = list(pool.map(_guarded_cell, payloads))
     else:
-        results = [_sweep_cell(p) for p in payloads]
+        results = list(map(_guarded_cell, payloads))
 
-    # the index is written only once every cell has finished
-    _write_csv(os.path.join(out_dir, "index.csv"), *_INDEX, (row for row, _ in results))
-    degraded = sum(bad for _, bad in results)
-    entries = [("cells", len(cells)), ("degraded_cells", degraded)]
+    # the index is written only once every cell has finished; a failed cell has no row
+    rows = [row for row, _, error in results if error is None]
+    _write_csv(os.path.join(out_dir, "index.csv"), *_INDEX, rows)
+    degraded = sum(bad for _, bad, _ in results)
+    # cell names hold '=', so the key is the cell's position and the value names it
+    errors = [(i, error) for i, (_, _, error) in enumerate(results) if error]
+    entries = [("cells", len(cells)), ("degraded_cells", degraded), ("failed_cells", len(errors))]
+    entries += [(f"cell_error.{i}", error) for i, error in errors]
     _write_manifest(os.path.join(out_dir, "sweep.manifest"), cfg, started, entries)
 
+    for _, error in errors:
+        print(f"dqpt: sweep: failed cell {error}", file=sys.stderr)
     if degraded:
         print(f"dqpt: sweep: numerical degradation in some cells, see {out_dir}", file=sys.stderr)
-        return 3
-    return 0
+    return 3 if degraded or errors else 0
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,17 +79,51 @@ class RateSeries:
 
 
 _BLOCK_BYTES = 1 << 18  # size of one (time block x echo data) buffer
+# threads per _echo_blocks call; None: one per CPU this process may use.
+# A sweep's pool workers set it to share the CPUs (cli._share_cores)
+_BLOCK_THREADS = None
+_ROUND_BLOCKS = 4  # blocks per thread between two barriers
 
 
-def _echo_blocks(eps_post, times, *imbalances):
-    """Yield (lo, time block, echoes) over a 1-d grid of times: one
-    mode_echo array of shape (block, *eps_post.shape) per imbalance.
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_slot(step, slot, starts):
+    # (results, None) over starts in order, or (results so far, the error)
+    results = []
+    try:
+        for lo in starts:
+            results.append(step(slot, lo))
+    except BaseException as exc:
+        return results, exc
+    return results, None
+
+
+def _echo_blocks(fn, eps_post, times, *imbalances, diagnostics=None):
+    """An iterator of fn(lo, time block, echoes) over a 1-d grid of times,
+    in block order: echoes holds one mode_echo array of shape
+    (block, *eps_post.shape) per imbalance.
 
     Blocks hold about _BLOCK_BYTES of echoes each.  eps' and the
-    imbalances are copied once, and the echo buffers and the work buffer
-    they share are allocated once per call, all at 64-byte-aligned
-    addresses (_aligned_empty): every block is written into the same
-    buffers, which the caller may overwrite in place until the next one.
+    imbalances are copied once, all at 64-byte-aligned addresses
+    (_aligned_empty).  The blocks run on min(CPUs, blocks) threads
+    (_BLOCK_THREADS overrides the CPUs), the calling thread and a pool
+    that lives for the call, each with its own echo and work buffers
+    allocated once per call; fn may overwrite its echoes in place, but
+    what it returns must not be a view of them, because they are reused
+    for the thread's next block.  The threads take _ROUND_BLOCKS blocks
+    each per round; a round's results are yielded only once all of them
+    are in, so the caller's own work between two yields runs while no
+    block does.  One thread, or one block, runs fn inline and starts none.
+    Pool tasks run in a copy of the caller's context, so the caller's
+    np.errstate holds inside fn on every thread.  An exception in fn propagates once the
+    blocks before its own are yielded, after every thread has stopped.
+    diagnostics, if given, receives the thread count (block_threads) on
+    the call, before the first block runs.
     """
 
     def aligned(a):
@@ -97,13 +134,46 @@ def _echo_blocks(eps_post, times, *imbalances):
     eps = aligned(eps_post)
     imbalances = [aligned(a) for a in imbalances]
     block = max(1, _BLOCK_BYTES // eps.nbytes)
+    starts = range(0, times.size, block)
+    threads = min(_BLOCK_THREADS or _cpus(), len(starts))
+    if diagnostics is not None:
+        diagnostics["block_threads"] = threads
     shape = (min(block, times.size), *eps.shape)
-    *bufs, work = (_aligned_empty(shape) for _ in range(len(imbalances) + 1))
-    for lo in range(0, times.size, block):
+    slots = [
+        [_aligned_empty(shape) for _ in range(len(imbalances) + 1)] for _ in range(threads)
+    ]
+
+    def step(slot, lo):
+        *bufs, work = slots[slot]
         tb = times[lo : lo + block]
         n = tb.size
         t = tb.reshape((n,) + (1,) * eps.ndim)
-        yield lo, tb, [mode_echo(a, eps, t, b[:n], work[:n]) for a, b in zip(imbalances, bufs)]
+        return fn(lo, tb, [mode_echo(a, eps, t, b[:n], work[:n]) for a, b in zip(imbalances, bufs)])
+
+    def inline():
+        for lo in starts:
+            yield step(0, lo)
+
+    def rounds():
+        per_round = threads * _ROUND_BLOCKS
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            for first in range(0, len(starts), per_round):
+                round_ = starts[first : first + per_round]
+                # thread s takes every threads-th block of the round from the
+                # s-th, in a copy of the caller's context; the caller is thread 0
+                tasks = [
+                    pool.submit(copy_context().run, _run_slot, step, s, round_[s::threads])
+                    for s in range(1, min(threads, len(round_)))
+                ]
+                done = [_run_slot(step, 0, round_[::threads])]
+                done += [task.result() for task in tasks]
+                for j in range(len(round_)):
+                    results, exc = done[j % threads]
+                    if j // threads == len(results):
+                        raise exc
+                    yield results[j // threads]
+
+    return inline() if threads <= 1 else rounds()
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +334,11 @@ def compute_rate_series(
     (nodes_evaluated), the refinement splits (extra_panels), the samples
     whose bound exceeds tol (unconverged_samples), the most splits on one
     sample (max_splits), and the largest error bound (max_err_bound, a NaN
-    bound counting as the largest) with its time (max_err_bound_t).
+    bound counting as the largest) with its time (max_err_bound_t), and
+    the number of block threads (block_threads).
+
+    The bulk pass runs on the block threads; the held samples and their
+    refinement stay on the calling thread, between rounds of blocks.
     """
     times = _check_times(times)
     if not tol > 0.0:
@@ -278,18 +352,24 @@ def compute_rate_series(
     # held samples (an i15 and an err row each, then four panel rows in
     # refinement) are refined once they fill about one _BLOCK_BYTES, and at the end
     flush = max(1, _BLOCK_BYTES // (4 * half.nbytes))
-    held, n_held = [], 0
-    for lo, tb, (v,) in _echo_blocks(eps, times, imb):
-        i15, err = _panel_sums(half, _log_echo_values(v))
+
+    def bulk(lo, tb, echoes):  # on a block thread: values, errors and the held rows
+        i15, err = _panel_sums(half, _log_echo_values(echoes[0]))
         total = np.sum(err, axis=-1)
         values[lo : lo + tb.size] = np.sum(i15, axis=-1)
         errors[lo : lo + tb.size] = total
         over = np.nonzero(total > tol)[0]  # fancy indexing copies the rows
-        held.append((lo + over, tb[over], i15[over], err[over], total[over]))
-        n_held += over.size
-        if n_held >= flush or lo + tb.size >= times.size:
+        return lo + over, tb[over], i15[over], err[over], total[over]
+
+    held, n_held = [], 0
+    for rows in _echo_blocks(bulk, eps, times, imb, diagnostics=diagnostics):
+        held.append(rows)
+        n_held += rows[0].size
+        if n_held >= flush:
             _refine(protocol, tol, lefts, widths, held, values, errors, splits)  # empties held
             n_held = 0
+    if held:
+        _refine(protocol, tol, lefts, widths, held, values, errors, splits)
     if diagnostics is not None:
         worst = int(np.argmax(errors)) if errors.size else None  # argmax finds a NaN first
         extra = int(splits.sum())
@@ -333,14 +413,23 @@ def rate_function_finite(protocol: QuenchProtocol, n_sites: int, t) -> float:
     return float(compute_rate_series_finite(protocol, n_sites, [float(t)]).values[0])
 
 
-def compute_rate_series_finite(protocol: QuenchProtocol, n_sites: int, times) -> RateSeries:
+def compute_rate_series_finite(
+    protocol: QuenchProtocol, n_sites: int, times, diagnostics: dict | None = None
+) -> RateSeries:
     """rate_function_finite over a grid, in the (time block x mode) echo
-    blocks of _echo_blocks, their logs taken in place."""
+    blocks of _echo_blocks, their logs taken in place.  diagnostics, if
+    given, receives the number of block threads (block_threads)."""
     times = _check_times(times)
     coeffs = mode_coefficients(protocol, mode_grid(n_sites).momenta)
     values = np.empty(times.size)
-    for lo, tb, (echoes,) in _echo_blocks(coeffs.eps_post, times, coeffs.imbalance):
-        values[lo : lo + tb.size] = _finite_rate_from_mode_echoes(echoes, n_sites, overwrite=True)
+
+    def fill(lo, tb, echoes):  # on a block thread
+        rates = _finite_rate_from_mode_echoes(echoes[0], n_sites, overwrite=True)
+        values[lo : lo + tb.size] = rates
+
+    blocks = _echo_blocks(fill, coeffs.eps_post, times, coeffs.imbalance, diagnostics=diagnostics)
+    for _ in blocks:
+        pass
     return RateSeries(times=times, values=values, method="finite_N", protocol=protocol)
 
 

@@ -379,7 +379,7 @@ class _FakePool:
 
     created = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.created.append(max_workers)
 
     def __enter__(self):
@@ -628,3 +628,80 @@ def test_the_n_max_cap_is_inclusive(tmp_path, capsys, monkeypatch):
     assert main([*common, "--n-max", "5", "--out", str(tmp_path / "a.csv")]) == 0
     argv = [*common, "--n-max", "6", "--out", str(tmp_path / "b.csv")]
     assert_exit_2_writes_nothing(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("task", ["rate", "rate-finite", "echo-decomposition", "sweep"])
+def test_n_sites_above_the_cap_is_a_config_error(task):
+    from dqpt.cli import _MAX_SITES, RunConfig, _validate
+
+    _validate(RunConfig(task=task, n_sites=_MAX_SITES, steps=5))
+    with pytest.raises(ConfigError, match=f"n_sites must be <= {_MAX_SITES}, got {_MAX_SITES + 2}"):
+        _validate(RunConfig(task=task, n_sites=_MAX_SITES + 2, steps=5))
+
+
+def test_echo_rows_above_the_cap_are_a_config_error():
+    from dqpt.cli import _MAX_ECHO_ROWS, RunConfig, _validate
+
+    steps = _MAX_ECHO_ROWS // 1000  # 1000 modes at 2000 sites
+    _validate(RunConfig(task="echo-decomposition", n_sites=2000, steps=steps))
+    _validate(RunConfig(task="rate-finite", n_sites=2000, steps=steps + 1))  # writes steps rows
+    with pytest.raises(ConfigError, match="above the cap"):
+        _validate(RunConfig(task="echo-decomposition", n_sites=2000, steps=steps + 1))
+
+
+def test_the_work_caps_are_inclusive_and_exit_2_writing_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("dqpt.cli._MAX_SITES", 20)
+    monkeypatch.setattr("dqpt.cli._MAX_ECHO_ROWS", 50)
+    assert main(["rate-finite", "--n-sites", "20", "--out", str(tmp_path / "a.csv")]) == 0
+    assert_exit_2_writes_nothing(
+        tmp_path, capsys, ["rate-finite", "--n-sites", "22", "--out", str(tmp_path / "b.csv")]
+    )
+    echo = ["echo-decomposition", "--n-sites", "10"]
+    assert main([*echo, "--steps", "10", "--out", str(tmp_path / "c.csv")]) == 0
+    assert_exit_2_writes_nothing(
+        tmp_path, capsys, [*echo, "--steps", "11", "--out", str(tmp_path / "d.csv")]
+    )
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_failing_sweep_cell_is_recorded_and_the_others_finish(
+    tmp_path, capsys, monkeypatch, jobs
+):
+    import dqpt.cli
+
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(TestSweepTask.CFG, encoding="utf-8")
+    clean = tmp_path / "clean"
+    assert main(["sweep", "--config", str(cfg), "--out", str(clean)]) == 0
+    capsys.readouterr()
+
+    handler, header, template = dqpt.cli._TASKS["rate"]
+
+    def rate_or_fail(cell_cfg, warnings):  # the pool's forked workers inherit it
+        if cell_cfg.beta == 0.1:
+            raise RuntimeError("no rate here\n(two lines)")
+        return handler(cell_cfg, warnings)
+
+    monkeypatch.setitem(dqpt.cli._TASKS, "rate", (rate_or_fail, header, template))
+    out = tmp_path / "faulty"
+    assert main(["sweep", "--config", str(cfg), "--jobs", jobs, "--out", str(out)]) == 3
+    hot = "beta=0.100000_phi=-1.570796_lambda_post=0.500000"
+    cold = "beta=10.000000_phi=-1.570796_lambda_post=0.500000"
+    error = "RuntimeError: no rate here (two lines)"
+    assert capsys.readouterr().err == f"dqpt: sweep: failed cell {hot}: {error}\n"
+
+    manifest = dict(RunManifest.from_text((out / "sweep.manifest").read_text()).entries)
+    counts = (manifest["cells"], manifest["degraded_cells"], manifest["failed_cells"])
+    assert counts == ("2", "0", "1")
+    # the key is the cell's position in the sweep (cold first), the value names it
+    assert manifest["cell_error.1"] == f"{hot}: {error}"
+    assert "cell_error.0" not in manifest
+    # the finished cell's index row under the same header, and its outputs unchanged
+    clean_lines = (clean / "index.csv").read_text().splitlines()
+    assert (out / "index.csv").read_text().splitlines() == [
+        line for line in clean_lines if not line.startswith(hot)
+    ]
+    for name in ("critical_modes.csv", "rate.csv"):
+        assert (out / cold / name).read_bytes() == (clean / cold / name).read_bytes()
+    assert not (out / hot / "rate.csv").exists()
+    assert not list(out.rglob("*.tmp"))

@@ -114,18 +114,20 @@ def test_echo_blocks_tile_the_grid_with_the_allocating_echoes(case, spare_bytes)
     eps, imbalances, times, rows = case
     inputs = [eps.copy(), *(a.copy() for a in imbalances)]
     block_bytes = rows * eps.nbytes + spare_bytes  # rows per block, whatever the spare
-    starts = []
+
+    def check(lo, tb, echoes):
+        assert_bitwise(tb, times[lo : lo + rows])
+        assert len(echoes) == len(imbalances)
+        t = tb.reshape((-1,) + (1,) * eps.ndim)
+        for a, echo in zip(imbalances, echoes):
+            assert echo.ctypes.data % 64 == 0
+            assert echo.flags.c_contiguous
+            assert_bitwise(echo, mode_echo(a, eps, t))
+            echo[...] = math.nan  # callers may overwrite a block in place
+        return lo
+
     with mock.patch.object(observables, "_BLOCK_BYTES", block_bytes):
-        for lo, tb, echoes in _echo_blocks(eps, times, *imbalances):
-            starts.append(lo)
-            assert_bitwise(tb, times[lo : lo + rows])
-            assert len(echoes) == len(imbalances)
-            t = tb.reshape((-1,) + (1,) * eps.ndim)
-            for a, echo in zip(imbalances, echoes):
-                assert echo.ctypes.data % 64 == 0
-                assert echo.flags.c_contiguous
-                assert_bitwise(echo, mode_echo(a, eps, t))
-                echo[...] = math.nan  # callers may overwrite a block in place
+        starts = list(_echo_blocks(check, eps, times, *imbalances))
     assert starts == list(range(0, times.size, rows))
     for before, after in zip(inputs, [eps, *imbalances]):
         assert_bitwise(after, before)

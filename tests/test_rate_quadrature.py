@@ -83,7 +83,7 @@ class TestBlockInvariance:
     @pytest.mark.parametrize("protocol", [STANDARD, FIG3])
     def test_grid_spans_several_blocks(self, protocol):
         imb, eps = _node_data(protocol, *_base_panels(protocol))
-        assert sum(1 for _ in _echo_blocks(eps, self.TIMES, imb)) > 3
+        assert sum(1 for _ in _echo_blocks(lambda *block: None, eps, self.TIMES, imb)) > 3
 
     @pytest.mark.parametrize("protocol", [STANDARD, FIG3])
     @pytest.mark.parametrize("cuts", [(1,), (7, 8, 150), (37, 100, 101, 299)])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, observables
+from . import __version__
 from .criticality import VARIANTS, critical_modes, fisher_zero_line, variant_report
 from .mode_dynamics import (  # noqa: F401 (perfbench traces null_work_decomposition here)
     boundary_partition,
@@ -420,13 +420,15 @@ def _task_echo_decomposition(cfg, warnings):
     # with the imbalance replaced by cos(2 dtheta)
     null_imbalance = np.cos(2.0 * coeffs.delta_theta)
     diag_in: dict = {}
-    # (time block x mode) echoes, copied out of the block threads' buffers
+    # (time block x mode) echoes, one block at a time on this thread: row
+    # formatting, not the echoes, sets the pace, and rows need no copies
     blocks = _echo_blocks(
-        lambda lo, tb, echoes: (tb, *(e.copy() for e in echoes)),
+        lambda lo, tb, echoes: (tb, *echoes),
         coeffs.eps_post,
         times,
         coeffs.imbalance,
         null_imbalance,
+        inline=True,
         diagnostics=diag_in,
     )
 
@@ -521,16 +523,14 @@ def _sweep_cell(payload):
     return row, degraded
 
 
-def _share_cores(workers: int):
-    """Pool initializer: the block threads of the workers share the CPUs."""
-    observables._BLOCK_THREADS = max(1, observables._cpus() // workers)
-
-
 def _guarded_cell(payload):
     """_sweep_cell as (index row, degraded, None), or as (None, False,
-    "<cell name>: <error>" on one line) if the cell raised."""
+    "<cell name>: <error>" on one line) if the cell raised; a MemoryError
+    propagates."""
     try:
         row, degraded = _sweep_cell(payload)
+    except MemoryError:  # the whole sweep stops with exit 2, as any task would
+        raise
     except Exception as exc:
         error = " ".join(f"{type(exc).__name__}: {exc}".split())
         return None, False, f"{os.path.basename(payload[1])}: {error}"
@@ -582,7 +582,7 @@ def _run_sweep(cfg: RunConfig) -> int:
 
     workers = min(cfg.jobs, len(payloads))  # a pool forks all its workers up front
     if workers > 1:
-        with ProcessPoolExecutor(workers, initializer=_share_cores, initargs=(workers,)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_guarded_cell, payloads))
     else:
         results = list(map(_guarded_cell, payloads))

@@ -79,10 +79,9 @@ class RateSeries:
 
 
 _BLOCK_BYTES = 1 << 18  # size of one (time block x echo data) buffer
-# threads per _echo_blocks call; None: one per CPU this process may use.
-# A sweep's pool workers set it to share the CPUs (cli._share_cores)
-_BLOCK_THREADS = None
-_ROUND_BLOCKS = 4  # blocks per thread between two barriers
+# blocks between two barriers, whatever the CPU count: a round's results are
+# all held at once, and it runs on at most this many threads
+_ROUND_BLOCKS = 8
 
 
 def _cpus() -> int:
@@ -103,27 +102,30 @@ def _run_slot(step, slot, starts):
     return results, None
 
 
-def _echo_blocks(fn, eps_post, times, *imbalances, diagnostics=None):
+def _echo_blocks(fn, eps_post, times, *imbalances, inline=False, diagnostics=None):
     """An iterator of fn(lo, time block, echoes) over a 1-d grid of times,
     in block order: echoes holds one mode_echo array of shape
     (block, *eps_post.shape) per imbalance.
 
     Blocks hold about _BLOCK_BYTES of echoes each.  eps' and the
     imbalances are copied once, all at 64-byte-aligned addresses
-    (_aligned_empty).  The blocks run on min(CPUs, blocks) threads
-    (_BLOCK_THREADS overrides the CPUs), the calling thread and a pool
-    that lives for the call, each with its own echo and work buffers
-    allocated once per call; fn may overwrite its echoes in place, but
-    what it returns must not be a view of them, because they are reused
-    for the thread's next block.  The threads take _ROUND_BLOCKS blocks
-    each per round; a round's results are yielded only once all of them
+    (_aligned_empty).  The blocks run on min(CPUs, _ROUND_BLOCKS, blocks)
+    threads, or on one if inline: the calling thread and a pool that lives
+    for the call, each with its own echo and work buffers allocated once
+    per call.  fn may overwrite its echoes in place.
+
+    One thread runs fn inline and starts none: each block is computed when
+    the next result is asked for, so fn's result may be a view of its
+    echoes until then.  On more threads, rounds of _ROUND_BLOCKS blocks are
+    dealt out in turn; a round's results are yielded only once all of them
     are in, so the caller's own work between two yields runs while no
-    block does.  One thread, or one block, runs fn inline and starts none.
-    Pool tasks run in a copy of the caller's context, so the caller's
-    np.errstate holds inside fn on every thread.  An exception in fn propagates once the
-    blocks before its own are yielded, after every thread has stopped.
-    diagnostics, if given, receives the thread count (block_threads) on
-    the call, before the first block runs.
+    block does, and what fn returns must not be a view of its echoes,
+    which the thread reuses for its next block.  Pool tasks run in a copy
+    of the caller's context, so the caller's np.errstate holds inside fn
+    on every thread.  An exception in fn propagates once the blocks before
+    its own are yielded, after every thread has stopped.  diagnostics, if
+    given, receives the thread count (block_threads) on the call, before
+    the first block runs.
     """
 
     def aligned(a):
@@ -135,7 +137,7 @@ def _echo_blocks(fn, eps_post, times, *imbalances, diagnostics=None):
     imbalances = [aligned(a) for a in imbalances]
     block = max(1, _BLOCK_BYTES // eps.nbytes)
     starts = range(0, times.size, block)
-    threads = min(_BLOCK_THREADS or _cpus(), len(starts))
+    threads = min(1 if inline else min(_cpus(), _ROUND_BLOCKS), len(starts))
     if diagnostics is not None:
         diagnostics["block_threads"] = threads
     shape = (min(block, times.size), *eps.shape)
@@ -155,10 +157,9 @@ def _echo_blocks(fn, eps_post, times, *imbalances, diagnostics=None):
             yield step(0, lo)
 
     def rounds():
-        per_round = threads * _ROUND_BLOCKS
         with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-            for first in range(0, len(starts), per_round):
-                round_ = starts[first : first + per_round]
+            for first in range(0, len(starts), _ROUND_BLOCKS):
+                round_ = starts[first : first + _ROUND_BLOCKS]
                 # thread s takes every threads-th block of the round from the
                 # s-th, in a copy of the caller's context; the caller is thread 0
                 tasks = [

@@ -379,7 +379,7 @@ class _FakePool:
 
     created = []
 
-    def __init__(self, max_workers, initializer=None, initargs=()):
+    def __init__(self, max_workers):
         self.created.append(max_workers)
 
     def __enter__(self):
@@ -704,4 +704,29 @@ def test_a_failing_sweep_cell_is_recorded_and_the_others_finish(
     for name in ("critical_modes.csv", "rate.csv"):
         assert (out / cold / name).read_bytes() == (clean / cold / name).read_bytes()
     assert not (out / hot / "rate.csv").exists()
+    assert not list(out.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_sweep_cell_out_of_memory_stops_the_sweep_with_exit_2(
+    tmp_path, capsys, monkeypatch, jobs
+):
+    import dqpt.cli
+
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(TestSweepTask.CFG, encoding="utf-8")
+    handler, header, template = dqpt.cli._TASKS["rate"]
+
+    def rate_or_out_of_memory(cell_cfg, warnings):  # the pool's forked workers inherit it
+        if cell_cfg.beta == 0.1:
+            raise MemoryError
+        return handler(cell_cfg, warnings)
+
+    monkeypatch.setitem(dqpt.cli._TASKS, "rate", (rate_or_out_of_memory, header, template))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--jobs", jobs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "dqpt: out of memory in sweep; reduce --steps or --n-sites\n"
+    assert not (out / "index.csv").exists()
+    assert not (out / "sweep.manifest").exists()
     assert not list(out.rglob("*.tmp"))

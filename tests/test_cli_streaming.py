@@ -104,12 +104,11 @@ def test_write_csv_counts_the_rows_it_writes(tmp_path):
 
 def test_echo_decomposition_memory_does_not_grow_with_its_output(tmp_path, monkeypatch):
     # defaults: 1000 sites x 401 steps, 200,500 rows (a 19.7 MB CSV); the
-    # list-building handler peaked about 63 MB above its start here.  Each
-    # block thread adds its own buffers, so the thread count is pinned to
-    # check the same runs on every host
+    # list-building handler peaked about 63 MB above its start here.  Its
+    # blocks run on the calling thread, so the bound holds on any host
     bound_mb = 8.0
-    for threads in (1, 2):
-        monkeypatch.setattr(observables, "_BLOCK_THREADS", threads)
+    for cpus in (1, 2, 64):
+        monkeypatch.setattr(observables, "_cpus", lambda: cpus)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -119,7 +118,8 @@ def test_echo_decomposition_memory_does_not_grow_with_its_output(tmp_path, monke
         finally:
             tracemalloc.stop()
         assert (peak - start) / 1e6 < bound_mb
-        assert read_manifest(tmp_path / "echo.csv")["rows"] == "200500"
+        manifest = read_manifest(tmp_path / "echo.csv")
+        assert (manifest["rows"], manifest["blocks.threads"]) == ("200500", "1")
 
 
 def _out_of_memory(*args, **kwargs):
@@ -141,20 +141,20 @@ def test_out_of_memory_before_writing_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_out_of_memory_mid_write_leaves_no_csv_and_no_temporary(tmp_path, capsys, monkeypatch):
-    sizes = []
+    calls = []
 
-    def echo_then_out_of_memory(imbalance, eps, t, *buffers):
-        # fail in the blocks past t = 3, rounds of blocks after the first rows went out
-        if t.max() > 3.0:
-            sizes.append((tmp_path / "e.csv.tmp").stat().st_size)
+    def echo_then_out_of_memory(*args):
+        # two calls per time block (echo, null work): fail in the third block
+        calls.append(1)
+        if len(calls) > 4:
+            assert (tmp_path / "e.csv.tmp").stat().st_size > 0
             raise MemoryError
-        return mode_echo(imbalance, eps, t, *buffers)
+        return mode_echo(*args)
 
-    monkeypatch.setattr(observables, "_BLOCK_BYTES", 5 * 8 * 500)  # 5 of the 401 times a block
     monkeypatch.setattr(observables, "mode_echo", echo_then_out_of_memory)  # _echo_blocks' own
     argv = ["echo-decomposition", "--out", str(tmp_path / "e.csv")]
-    for threads in (1, 2):
-        monkeypatch.setattr(observables, "_BLOCK_THREADS", threads)
-        sizes.clear()
+    for cpus in (1, 2, 64):  # its blocks stay on the calling thread
+        monkeypatch.setattr(observables, "_cpus", lambda: cpus)
+        calls.clear()
         assert_clean_exit_2(tmp_path, capsys, argv)
-        assert sizes and min(sizes) > 0  # rows went to the temporary first
+        assert len(calls) == 5  # rows of two blocks went to the temporary first

@@ -1,11 +1,13 @@
 """The time-block echo loop on several threads.
 
-_echo_blocks runs its blocks on min(CPUs, blocks) threads, each with its own
-buffers, and yields the results in block order, one round at a time.  Every
-output must be bit for bit that of one thread, whatever the thread count,
-the block size or the ragged last round; an error in a block must come out
-unchanged and leave no thread behind; the caller's np.errstate must hold
-inside the blocks; and a grid of one block must start no thread.
+_echo_blocks runs its blocks on min(CPUs, _ROUND_BLOCKS, blocks) threads,
+each with its own buffers, and yields the results in block order, one round
+of _ROUND_BLOCKS blocks at a time.  Every output must be bit for bit that of
+one thread, whatever the thread count, the block size or the ragged last
+round; an error in a block must come out unchanged and leave no thread
+behind; the caller's np.errstate must hold inside the blocks; a grid of one
+block must start no thread; and what a round holds must not grow with the
+CPU count.  The CPU count is set by patching observables._cpus.
 """
 
 import math
@@ -64,7 +66,7 @@ def rate_grid(draw, protocol):
 
 
 def with_threads(threads, fn, *args, **kwargs):
-    with mock.patch.object(observables, "_BLOCK_THREADS", threads):
+    with mock.patch.object(observables, "_cpus", lambda: threads):
         return fn(*args, **kwargs)
 
 
@@ -117,7 +119,7 @@ def test_outputs_bitwise_equal_on_one_two_and_three_threads(protocol, data, bloc
 
             text, echo_diag = with_threads(threads, echo_csv, cfg)
             assert text == csv_ref
-            assert echo_diag["blocks.threads"] == min(threads, n_blocks(steps, n_sites // 2))
+            assert echo_diag["blocks.threads"] == 1  # row formatting sets its pace
 
 
 def test_more_threads_than_cores_with_fast_switching_lose_no_row():
@@ -145,7 +147,7 @@ def many_blocks(threads, fn, n_times=23):
     """_echo_blocks over n_times times, one time a block."""
     times = np.linspace(0.0, 3.0, n_times)
     with mock.patch.object(observables, "_BLOCK_BYTES", 1), mock.patch.object(
-        observables, "_BLOCK_THREADS", threads
+        observables, "_cpus", lambda: threads
     ):
         return _echo_blocks(fn, ECHO_EPS, times, ECHO_IMB)
 
@@ -200,7 +202,7 @@ def test_one_block_starts_no_thread(monkeypatch, threads, n_times):
 
     monkeypatch.setattr(observables, "ThreadPoolExecutor", no_pool)
     diag = {}
-    with mock.patch.object(observables, "_BLOCK_THREADS", threads):
+    with mock.patch.object(observables, "_cpus", lambda: threads):
         blocks = _echo_blocks(
             lambda lo, tb, echoes: threading.current_thread(),
             ECHO_EPS,
@@ -217,15 +219,95 @@ def test_threads_default_to_the_cpus_this_process_may_use():
     diag = {}
     with mock.patch.object(observables, "_BLOCK_BYTES", 1):
         list(_echo_blocks(lambda *b: None, ECHO_EPS, np.arange(64.0), ECHO_IMB, diagnostics=diag))
-    assert diag["block_threads"] == min(observables._cpus(), 64)
+    assert diag["block_threads"] == min(observables._cpus(), observables._ROUND_BLOCKS)
 
 
-def test_pool_workers_share_the_cpus(monkeypatch):
-    monkeypatch.setattr(observables, "_BLOCK_THREADS", None)
-    monkeypatch.setattr(observables, "_cpus", lambda: 8)
-    for workers, threads in [(1, 8), (2, 4), (3, 2), (8, 1), (64, 1)]:
-        cli._share_cores(workers)
-        assert observables._BLOCK_THREADS == threads
+def test_a_round_holds_a_fixed_number_of_blocks_whatever_the_cpus(monkeypatch):
+    monkeypatch.setattr(observables, "_cpus", lambda: 64)
+    before = threading.active_count()
+    lock = threading.Lock()
+    computed, outstanding, running = [0], [], []
+
+    def fn(lo, tb, echoes):
+        with lock:
+            computed[0] += 1
+        running.append(threading.active_count() - before)
+        return lo
+
+    diag = {}
+    times = np.linspace(0.0, 3.0, 64)
+    with mock.patch.object(observables, "_BLOCK_BYTES", 1):  # one time a block
+        blocks = _echo_blocks(fn, ECHO_EPS, times, ECHO_IMB, diagnostics=diag)
+        for consumed, lo in enumerate(blocks):
+            outstanding.append(computed[0] - consumed)
+    rounds = observables._ROUND_BLOCKS
+    assert diag["block_threads"] == rounds
+    assert max(outstanding) == rounds  # a whole round, and never more
+    assert max(running) <= rounds - 1  # the pool; the caller is the last thread
+
+
+def test_held_rate_rows_stay_bounded_whatever_the_cpus(monkeypatch):
+    # tol so small that every sample is held: the rows alive at once (held
+    # for refinement, or computed in a round and not yet yielded) must stay
+    # within one flush plus one round of blocks, however many CPUs there are
+    protocol = QuenchProtocol(0.5, 2.0, 1.0, -math.pi / 2)
+    times = np.linspace(0.1, 6.0, 400)
+    node_bytes = 8 * _base_panels(protocol)[0].size * len(_NODES_X)  # a time's echo data
+    block, flush = 2, (2 * len(_NODES_X)) // 4
+    real_blocks = observables._echo_blocks
+    lock = threading.Lock()
+    rows = {"computed": 0, "refined": 0}
+    alive = []
+
+    def counting_blocks(fn, *args, **kwargs):
+        def counted(lo, tb, echoes):
+            held = fn(lo, tb, echoes)
+            with lock:
+                rows["computed"] += held[0].size
+            return held
+
+        for held in real_blocks(counted, *args, **kwargs):
+            alive.append(rows["computed"] - rows["refined"])
+            yield held
+
+    def count_and_drop(protocol, tol, lefts, widths, held, *out):  # refines nothing
+        rows["refined"] += sum(h[0].size for h in held)
+        held.clear()
+
+    monkeypatch.setattr(observables, "_cpus", lambda: 64)
+    monkeypatch.setattr(observables, "_BLOCK_BYTES", block * node_bytes)
+    monkeypatch.setattr(observables, "_echo_blocks", counting_blocks)
+    monkeypatch.setattr(observables, "_refine", count_and_drop)
+    diag = {}
+    compute_rate_series(protocol, times, tol=1e-300, diagnostics=diag)
+    assert diag["block_threads"] == observables._ROUND_BLOCKS
+    assert rows["computed"] == rows["refined"] == times.size
+    assert max(alive) <= flush - 1 + observables._ROUND_BLOCKS * block
+
+
+def test_inline_blocks_run_lazily_on_the_calling_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+    monkeypatch.setattr(observables, "_cpus", lambda: 64)
+    monkeypatch.setattr(observables, "ThreadPoolExecutor", no_pool)
+    computed = []
+    diag = {}
+    times = np.linspace(0.0, 3.0, 23)
+    with mock.patch.object(observables, "_BLOCK_BYTES", 1):
+        blocks = _echo_blocks(
+            lambda lo, tb, echoes: computed.append(lo) or echoes[0],  # a view, valid until next
+            ECHO_EPS,
+            times,
+            ECHO_IMB,
+            inline=True,
+            diagnostics=diag,
+        )
+        for lo, echo in enumerate(blocks):
+            assert computed == list(range(lo + 1))
+            expected = observables.mode_echo(ECHO_IMB, ECHO_EPS, times[lo : lo + 1, None])
+            assert np.array_equal(bits(echo), bits(expected))
+    assert diag["block_threads"] == 1
 
 
 def read_manifest(path):
@@ -243,12 +325,13 @@ def read_manifest(path):
 def test_manifests_record_the_block_threads_and_the_csvs_do_not(tmp_path, monkeypatch, task, argv):
     texts = {}
     for threads in (1, 2):
-        monkeypatch.setattr(observables, "_BLOCK_THREADS", threads)
+        monkeypatch.setattr(observables, "_cpus", lambda: threads)
         monkeypatch.setattr(observables, "_BLOCK_BYTES", 1 << 12)  # several blocks
         out = tmp_path / f"{threads}.csv"
         assert main([task, *argv, "--out", str(out)]) == 0
         manifest = read_manifest(tmp_path / f"{threads}.csv.manifest")
-        assert manifest["blocks.threads"] == str(threads)
+        expected = 1 if task == "echo-decomposition" else threads
+        assert manifest["blocks.threads"] == str(expected)
         texts[threads] = out.read_text()
     assert texts[1] == texts[2]
     assert "thread" not in texts[1].splitlines()[0]
@@ -259,4 +342,4 @@ def test_cell_manifests_record_the_block_threads(tmp_path):
     assert main(["sweep", "--beta", "0.1", "--steps", "41", "--out", str(out)]) == 0
     (cell,) = [d for d in out.iterdir() if d.is_dir()]
     threads = int(read_manifest(cell / "cell.manifest")["blocks.threads"])
-    assert 1 <= threads <= observables._cpus()
+    assert 1 <= threads <= min(observables._cpus(), observables._ROUND_BLOCKS)

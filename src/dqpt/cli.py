@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import glob
 import itertools
 import math
 import os
@@ -523,17 +524,16 @@ def _sweep_cell(payload):
     return row, degraded
 
 
-def _guarded_cell(payload):
-    """_sweep_cell as (index row, degraded, None), or as (None, False,
-    "<cell name>: <error>" on one line) if the cell raised; a MemoryError
-    propagates."""
+def _cell_outcome(cell_dir, result):
+    """result() as (index row, degraded, None), or as (None, False, "<cell name>:
+    <error>" on one line) if it raised, BrokenProcessPool too; MemoryError propagates."""
     try:
-        row, degraded = _sweep_cell(payload)
+        row, degraded = result()
     except MemoryError:  # the whole sweep stops with exit 2, as any task would
         raise
     except Exception as exc:
         error = " ".join(f"{type(exc).__name__}: {exc}".split())
-        return None, False, f"{os.path.basename(payload[1])}: {error}"
+        return None, False, f"{os.path.basename(cell_dir)}: {error}"
     return row, degraded, None
 
 
@@ -583,9 +583,13 @@ def _run_sweep(cfg: RunConfig) -> int:
     workers = min(cfg.jobs, len(payloads))  # a pool forks all its workers up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_guarded_cell, payloads))
+            futures = [pool.submit(_sweep_cell, payload) for payload in payloads]
+            results = [_cell_outcome(p[1], f.result) for p, f in zip(payloads, futures)]
+        # a worker that dies makes the pool kill the others, maybe mid-write
+        for tmp in glob.glob(os.path.join(glob.escape(out_dir), "*", "*.tmp")):
+            os.remove(tmp)
     else:
-        results = list(map(_guarded_cell, payloads))
+        results = [_cell_outcome(p[1], functools.partial(_sweep_cell, p)) for p in payloads]
 
     # the index is written only once every cell has finished; a failed cell has no row
     rows = [row for row, _, error in results if error is None]

@@ -91,17 +91,6 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_slot(step, slot, starts):
-    # (results, None) over starts in order, or (results so far, the error)
-    results = []
-    try:
-        for lo in starts:
-            results.append(step(slot, lo))
-    except BaseException as exc:
-        return results, exc
-    return results, None
-
-
 def _echo_blocks(fn, eps_post, times, *imbalances, inline=False, diagnostics=None):
     """An iterator of fn(lo, time block, echoes) over a 1-d grid of times,
     in block order: echoes holds one mode_echo array of shape
@@ -122,10 +111,10 @@ def _echo_blocks(fn, eps_post, times, *imbalances, inline=False, diagnostics=Non
     block does, and what fn returns must not be a view of its echoes,
     which the thread reuses for its next block.  Pool tasks run in a copy
     of the caller's context, so the caller's np.errstate holds inside fn
-    on every thread.  An exception in fn propagates once the blocks before
-    its own are yielded, after every thread has stopped.  diagnostics, if
-    given, receives the thread count (block_threads) on the call, before
-    the first block runs.
+    on every thread.  An exception in fn propagates unchanged once every
+    thread has stopped: inline after the blocks before its own, on threads
+    after the earlier rounds and before any block of its own round.
+    diagnostics, if given, receives block_threads before any block runs.
     """
 
     def aligned(a):
@@ -152,29 +141,22 @@ def _echo_blocks(fn, eps_post, times, *imbalances, inline=False, diagnostics=Non
         t = tb.reshape((n,) + (1,) * eps.ndim)
         return fn(lo, tb, [mode_echo(a, eps, t, b[:n], work[:n]) for a, b in zip(imbalances, bufs)])
 
-    def inline():
-        for lo in starts:
-            yield step(0, lo)
-
     def rounds():
         with ThreadPoolExecutor(max_workers=threads - 1) as pool:
             for first in range(0, len(starts), _ROUND_BLOCKS):
                 round_ = starts[first : first + _ROUND_BLOCKS]
-                # thread s takes every threads-th block of the round from the
-                # s-th, in a copy of the caller's context; the caller is thread 0
-                tasks = [
-                    pool.submit(copy_context().run, _run_slot, step, s, round_[s::threads])
-                    for s in range(1, min(threads, len(round_)))
+                # slot s takes every threads-th block of the round from the s-th; the
+                # caller runs slot 0, the pool the others in a copy of its context
+                dealt = [
+                    map(functools.partial(step, s), round_[s::threads])
+                    for s in range(min(threads, len(round_)))
                 ]
-                done = [_run_slot(step, 0, round_[::threads])]
-                done += [task.result() for task in tasks]
+                tasks = [pool.submit(copy_context().run, list, blocks) for blocks in dealt[1:]]
+                done = [list(dealt[0]), *(task.result() for task in tasks)]
                 for j in range(len(round_)):
-                    results, exc = done[j % threads]
-                    if j // threads == len(results):
-                        raise exc
-                    yield results[j // threads]
+                    yield done[j % threads][j // threads]
 
-    return inline() if threads <= 1 else rounds()
+    return (step(0, lo) for lo in starts) if threads <= 1 else rounds()
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +537,10 @@ def phase_profile(
             )
         mids = 0.5 * (k[idx] + k[idx + 1])
         w_m, d_m = _phase_samples(protocol, t, mids, gauge_offset)
-        k = np.concatenate([k, mids])
-        wrapped = np.concatenate([wrapped, w_m])
-        dynamical = np.concatenate([dynamical, d_m])
-        order = np.argsort(k, kind="stable")
-        k = k[order]
-        wrapped = wrapped[order]
-        dynamical = dynamical[order]
+        # within the round cap each midpoint lies strictly inside its gap: k stays sorted
+        k = np.insert(k, idx + 1, mids)
+        wrapped = np.insert(wrapped, idx + 1, w_m)
+        dynamical = np.insert(dynamical, idx + 1, d_m)
         rounds += 1
         added += mids.size
     total = np.concatenate([[wrapped[0]], wrapped[0] + d_tot.cumsum()])

@@ -1,11 +1,13 @@
+import concurrent.futures
 import math
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
 from dqpt import QuenchProtocol, critical_times, dispersion
-from dqpt.cli import ConfigError, RunManifest, main, parse_number, read_config_file
+from dqpt.cli import ConfigError, RunManifest, _sweep_cell, main, parse_number, read_config_file
 from dqpt.observables import _base_panels
 
 K_STAR = math.acos(0.8)
@@ -375,7 +377,8 @@ def test_sweep_with_five_steps_runs(tmp_path):
 
 
 class _FakePool:
-    """ProcessPoolExecutor stand-in that records max_workers and maps inline."""
+    """ProcessPoolExecutor stand-in that records max_workers and runs each
+    submitted call inline."""
 
     created = []
 
@@ -388,8 +391,10 @@ class _FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
 
 
 @pytest.mark.parametrize("cells,expected", [("10, 0.1", [2]), ("0.1", [])])
@@ -405,6 +410,20 @@ def test_sweep_pool_never_exceeds_the_cell_count(tmp_path, monkeypatch, cells, e
     assert _FakePool.created == expected
     _, rows = read_rows(out / "index.csv")
     assert len(rows) == len(cells.split(","))
+
+
+def test_a_serial_sweep_builds_no_pool(tmp_path, monkeypatch):
+    import dqpt.cli
+
+    monkeypatch.setattr(_FakePool, "created", [])
+    monkeypatch.setattr(dqpt.cli, "ProcessPoolExecutor", _FakePool)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("beta_list = 10, 0.1\nsteps = 11\n", encoding="utf-8")
+    out = tmp_path / "serial"
+    assert main(["sweep", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
+    assert _FakePool.created == []
+    _, rows = read_rows(out / "index.csv")
+    assert len(rows) == 2
 
 
 def test_sweep_with_an_invalid_cell_exits_2_and_writes_nothing(tmp_path):
@@ -730,3 +749,68 @@ def test_a_sweep_cell_out_of_memory_stops_the_sweep_with_exit_2(
     assert not (out / "index.csv").exists()
     assert not (out / "sweep.manifest").exists()
     assert not list(out.rglob("*.tmp"))
+
+
+_DEAD_WORKER_CFG = (
+    "lambda_pre = 0\n"
+    "lambda_post_list = 0.5, 2\n"
+    "beta_list = 10, 0.1\n"
+    "phi_list = -pi/2\n"
+    "steps = 41\n"
+    "t_max = 8\n"
+)
+_KILLED = "beta=0.100000_phi=-1.570796_lambda_post=2.000000"  # the last of the 4 cells
+
+
+def _sweep_cell_or_die(payload):  # module level, so the pool can pickle it by name
+    cell_dir = payload[1]
+    if os.path.basename(cell_dir) == _KILLED:
+        # a worker killed mid-write (for memory, or in native code) leaves its temporary
+        os.makedirs(cell_dir)
+        open(os.path.join(cell_dir, "rate.csv.tmp"), "w").close()
+        os._exit(1)
+    return _sweep_cell(payload)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the workers must inherit the patched _sweep_cell",
+)
+def test_a_dead_sweep_worker_fails_its_unfinished_cells_and_the_sweep_exits_3(
+    tmp_path, capfd, monkeypatch
+):
+    import dqpt.cli
+
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(_DEAD_WORKER_CFG, encoding="utf-8")
+    clean = tmp_path / "clean"
+    assert main(["sweep", "--config", str(cfg), "--out", str(clean)]) == 0
+    capfd.readouterr()
+
+    monkeypatch.setattr(dqpt.cli, "_sweep_cell", _sweep_cell_or_die)
+    out = tmp_path / "dead"
+    assert main(["sweep", "--config", str(cfg), "--jobs", "2", "--out", str(out)]) == 3
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    assert all(line.startswith("dqpt: sweep: failed cell ") for line in err.splitlines())
+
+    # the finished cells' rows, as in a clean sweep; the index keeps its header
+    header, *clean_rows = (clean / "index.csv").read_text().splitlines()
+    lines = (out / "index.csv").read_text().splitlines()
+    assert lines[0] == header
+    assert set(lines[1:]) <= set(clean_rows)
+    finished = {line.split(",")[0] for line in lines[1:]}
+    assert _KILLED not in finished
+
+    manifest = dict(RunManifest.from_text((out / "sweep.manifest").read_text()).entries)
+    names = [row.split(",")[0] for row in clean_rows]  # the sweep's cell order
+    assert manifest["cells"] == "4"
+    assert manifest["failed_cells"] == str(4 - len(finished))
+    for i, name in enumerate(names):
+        if name in finished:
+            assert f"cell_error.{i}" not in manifest
+        else:
+            assert manifest[f"cell_error.{i}"].startswith(f"{name}: BrokenProcessPool: ")
+            assert f"failed cell {manifest[f'cell_error.{i}']}" in err
+    assert not list(out.rglob("*.tmp"))
+    assert not multiprocessing.active_children()

@@ -3,6 +3,7 @@ config-file keys, the flags, the defaults and the manifest echo."""
 
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -248,3 +249,12 @@ def test_winding_at_a_huge_coupling_skips_its_samples_and_exits_3(tmp_path, caps
     assert manifest["warning.0"].startswith("sample t=4 skipped: phase unwrap failed")
     assert "warning.1" not in manifest
     assert "numerical degradation" in capsys.readouterr().err
+
+
+def test_the_readme_lists_exactly_the_common_flags():
+    # README's "Common flags" list, up to --config, against the option table
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"Common flags: (.*?`--config FILE`)", readme, re.DOTALL).group(1)
+    flags = re.findall(r"`(--[a-z][a-z-]*)[^`]*`", listed)
+    assert len(flags) == len(set(flags))
+    assert set(flags) == {opt["flag"] for opt in _OPTIONS.values() if opt["flag"]} | {"--config"}

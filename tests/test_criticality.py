@@ -369,3 +369,35 @@ def test_the_residual_rule_moves_only_roots_that_need_it(monkeypatch):
     assert _scan_for_roots(lambda k: 0.5 * (k - target))[0].tolist() == gentle.tolist()
     k_only = _scan_for_roots(lambda k: 1e4 * (k - target))[0]
     assert abs(1e4 * (k_only[0] - target)) > 1e-10 >= abs(1e4 * (steep[0] - target))
+
+
+# ROADMAP item 4: at the edge of fig4's two-mode region (lambda 1.5 -> 2,
+# phi = -pi/2) two imbalance roots are born as a pair near k = 0.33592, at
+# beta_c ~ 0.3632700851.  Just below beta_c they are closer than the scan
+# spacing (7.7e-4), so the scan sees no sign change between its nodes.
+PAIR_BIRTH = {"lambda_pre": 1.5, "lambda_post": 2.0, "phi": -math.pi / 2}
+
+
+@pytest.mark.parametrize("beta", [0.3632700850, 0.3632700841])
+def test_a_dense_scan_sees_the_pair_of_roots(beta):
+    # the oracle of the test below: 200,001 points across the pair
+    protocol = QuenchProtocol(beta=beta, **PAIR_BIRTH)
+    imbalance = mode_coefficients(protocol, np.linspace(0.3355, 0.3363, 200_001)).imbalance
+    assert np.count_nonzero(np.diff(np.sign(imbalance))) == 2
+    assert imbalance.min() < 0.0 < imbalance[0] and imbalance[-1] > 0.0
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 4: the root scan loses a pair just born"
+)
+def test_critical_modes_find_a_pair_of_roots_just_born():
+    # the imbalance dips to -4.0e-11 at k = 0.335922 (1.4e-5 between the roots)
+    cs = critical_modes(QuenchProtocol(beta=0.3632700850, **PAIR_BIRTH))
+    assert cs.modes.size == 2
+    assert sorted(cs.jump_signs) == [-1, 1]
+
+
+def test_critical_modes_find_a_pair_of_roots_a_little_older():
+    cs = critical_modes(QuenchProtocol(beta=0.3632700841, **PAIR_BIRTH))
+    assert cs.modes.tolist() == pytest.approx([0.33590048, 0.33594319], abs=1e-8)
+    assert sorted(cs.jump_signs) == [-1, 1]

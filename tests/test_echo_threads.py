@@ -5,9 +5,10 @@ each with its own buffers, and yields the results in block order, one round
 of _ROUND_BLOCKS blocks at a time.  Every output must be bit for bit that of
 one thread, whatever the thread count, the block size or the ragged last
 round; an error in a block must come out unchanged and leave no thread
-behind; the caller's np.errstate must hold inside the blocks; a grid of one
-block must start no thread; and what a round holds must not grow with the
-CPU count.  The CPU count is set by patching observables._cpus.
+behind, with no block of the failing round yielded; the caller's
+np.errstate must hold inside the blocks; a grid of one block must start no
+thread; and what a round holds must not grow with the CPU count.  The CPU
+count is set by patching observables._cpus.
 """
 
 import math
@@ -172,8 +173,28 @@ def test_an_error_in_a_block_propagates_unchanged_and_stops_every_thread(threads
         for lo in many_blocks(threads, fn):
             seen.append(lo)
     assert info.value is error
-    assert seen == list(range(k))  # the blocks before it, in order
+    # one thread: the blocks before it; more: the rounds before its own; in order
+    rounds = observables._ROUND_BLOCKS
+    assert seen == list(range(k if threads == 1 else k - k % rounds))
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("k", [0, 5, 13])
+def test_an_inline_error_comes_after_every_block_before_it(monkeypatch, k):
+    monkeypatch.setattr(observables, "_cpus", lambda: 64)
+    error = BlockError(f"block {k}")
+
+    def fn(lo, tb, echoes):
+        if lo == k:
+            raise error
+        return lo
+
+    seen = []
+    with mock.patch.object(observables, "_BLOCK_BYTES", 1), pytest.raises(BlockError) as info:
+        for lo in _echo_blocks(fn, ECHO_EPS, np.linspace(0.0, 3.0, 23), ECHO_IMB, inline=True):
+            seen.append(lo)
+    assert info.value is error
+    assert seen == list(range(k))
 
 
 @pytest.mark.parametrize("threads", THREADS)

@@ -528,13 +528,12 @@ def _cell_outcome(cell_dir, result):
     """result() as (index row, degraded, None), or as (None, False, "<cell name>:
     <error>" on one line) if it raised, BrokenProcessPool too; MemoryError propagates."""
     try:
-        row, degraded = result()
+        return (*result(), None)
     except MemoryError:  # the whole sweep stops with exit 2, as any task would
         raise
     except Exception as exc:
         error = " ".join(f"{type(exc).__name__}: {exc}".split())
         return None, False, f"{os.path.basename(cell_dir)}: {error}"
-    return row, degraded, None
 
 
 _INDEX = (
@@ -585,9 +584,6 @@ def _run_sweep(cfg: RunConfig) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_sweep_cell, payload) for payload in payloads]
             results = [_cell_outcome(p[1], f.result) for p, f in zip(payloads, futures)]
-        # a worker that dies makes the pool kill the others, maybe mid-write
-        for tmp in glob.glob(os.path.join(glob.escape(out_dir), "*", "*.tmp")):
-            os.remove(tmp)
     else:
         results = [_cell_outcome(p[1], functools.partial(_sweep_cell, p)) for p in payloads]
 
@@ -597,6 +593,10 @@ def _run_sweep(cfg: RunConfig) -> int:
     degraded = sum(bad for _, bad, _ in results)
     # cell names hold '=', so the key is the cell's position and the value names it
     errors = [(i, error) for i, (_, _, error) in enumerate(results) if error]
+    # a dead worker makes the pool kill the rest, maybe mid-write; only failed cells hold a .tmp
+    for i, _ in errors:
+        for tmp in glob.glob(os.path.join(glob.escape(payloads[i][1]), "*.tmp")):
+            os.remove(tmp)
     entries = [("cells", len(cells)), ("degraded_cells", degraded), ("failed_cells", len(errors))]
     entries += [(f"cell_error.{i}", error) for i, error in errors]
     _write_manifest(os.path.join(out_dir, "sweep.manifest"), cfg, started, entries)

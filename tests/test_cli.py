@@ -393,7 +393,10 @@ class _FakePool:
 
     def submit(self, fn, *args):
         future = concurrent.futures.Future()
-        future.set_result(fn(*args))
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:  # as a pool does: the error waits in the future
+            future.set_exception(exc)
         return future
 
 
@@ -789,6 +792,8 @@ def test_a_dead_sweep_worker_fails_its_unfinished_cells_and_the_sweep_exits_3(
 
     monkeypatch.setattr(dqpt.cli, "_sweep_cell", _sweep_cell_or_die)
     out = tmp_path / "dead"
+    (out / "other").mkdir(parents=True)
+    (out / "other" / "keep.tmp").write_text("not the sweep's\n", encoding="utf-8")
     assert main(["sweep", "--config", str(cfg), "--jobs", "2", "--out", str(out)]) == 3
     err = capfd.readouterr().err
     assert "Traceback" not in err
@@ -812,5 +817,40 @@ def test_a_dead_sweep_worker_fails_its_unfinished_cells_and_the_sweep_exits_3(
         else:
             assert manifest[f"cell_error.{i}"].startswith(f"{name}: BrokenProcessPool: ")
             assert f"failed cell {manifest[f'cell_error.{i}']}" in err
-    assert not list(out.rglob("*.tmp"))
+    assert [p.relative_to(out).as_posix() for p in out.rglob("*.tmp")] == ["other/keep.tmp"]
     assert not multiprocessing.active_children()
+
+
+def _sweep_cell_or_leave_a_temporary(payload):
+    cell_dir = payload[1]
+    if os.path.basename(cell_dir) == _KILLED:  # as a worker killed mid-write
+        os.makedirs(cell_dir)
+        open(os.path.join(cell_dir, "rate.csv.tmp"), "w").close()
+        raise RuntimeError("killed")
+    return _sweep_cell(payload)
+
+
+def test_a_pooled_sweep_removes_temporaries_only_in_its_failed_cells(
+    tmp_path, capsys, monkeypatch
+):
+    import dqpt.cli
+
+    monkeypatch.setattr(_FakePool, "created", [])
+    monkeypatch.setattr(dqpt.cli, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(dqpt.cli, "_sweep_cell", _sweep_cell_or_leave_a_temporary)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(_DEAD_WORKER_CFG, encoding="utf-8")
+    out = tmp_path / "out"
+    finished = "beta=10.000000_phi=-1.570796_lambda_post=0.500000"
+    keep = [out / "other" / "keep.tmp", out / finished / "keep.tmp"]
+    for path in keep:
+        path.parent.mkdir(parents=True)
+        path.write_text("not the sweep's\n", encoding="utf-8")
+
+    assert main(["sweep", "--config", str(cfg), "--jobs", "2", "--out", str(out)]) == 3
+    assert _FakePool.created == [2]
+    manifest = dict(RunManifest.from_text((out / "sweep.manifest").read_text()).entries)
+    assert manifest["failed_cells"] == "1"
+    assert manifest["cell_error.3"] == f"{_KILLED}: RuntimeError: killed"
+    assert capsys.readouterr().err == f"dqpt: sweep: failed cell {_KILLED}: RuntimeError: killed\n"
+    assert sorted(out.rglob("*.tmp")) == sorted(keep)

@@ -10,6 +10,7 @@ flagged in the manifest).
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -20,7 +21,8 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +64,9 @@ def _fmt(x) -> str:
 _INF_WORDS = {"inf", "infinity", "infinite"}
 _MAX_STEPS = 10**7  # time grid length (80 MB of times) and ladder length
 _MAX_SITES = 10**7  # chain length: 40 MB per mode array
+_MAX_K_RESOLUTION = 10**7  # zeros and winding base grid: 80 MB per array
 _MAX_ECHO_ROWS = 10**8  # echo-decomposition rows, steps x n_sites/2: about 7 GB of CSV
+_MAX_CELLS = 10**4  # sweep cells
 _PI_RE = re.compile(
     r"^\s*([+-]?)\s*(?:(\d+(?:\.\d*)?|\.\d+)\s*\*?\s*)?pi\s*(?:/\s*(\d+(?:\.\d*)?|\.\d+))?\s*$",
     re.IGNORECASE,
@@ -150,8 +154,7 @@ class RunConfig:
     n_sites: int = _opt(1000, _parse_int, "--n-sites", metavar="N")
     n_max: int = _opt(3, _parse_int, "--n-max", metavar="N")
     out: str | None = _opt(None, _parse_text, "--out", metavar="PATH")
-    jobs: int = _opt(1, _parse_int, "--jobs", metavar="N", help="sweep concurrency (env DQPT_JOBS)")
-    sweep_cap: int = _opt(10000, _parse_int, "--sweep-cap", metavar="N")
+    jobs: int = _opt(1, _parse_int, "--jobs", metavar="N", help="sweep concurrency")
     beta_list: tuple | None = _opt(None, _parse_number_list)
     phi_list: tuple | None = _opt(None, _parse_number_list)
     lambda_post_list: tuple | None = _opt(None, _parse_number_list)
@@ -185,15 +188,13 @@ def read_config_file(path: str) -> dict:
 
 
 def _resolve_config(args) -> RunConfig:
-    """Defaults, then the config file, then flags; DQPT_JOBS if neither set jobs."""
+    """Defaults, then the config file, then flags."""
     given = read_config_file(args.config) if args.config else {}
     for name, opt in _OPTIONS.items():
         raw = getattr(args, name, None)
         if raw is not None:
             # a repeatable flag's values parse like the file key's comma list
             given[name] = opt["parse"](",".join(raw) if isinstance(raw, list) else raw)
-    if "jobs" not in given and "DQPT_JOBS" in os.environ:
-        given["jobs"] = _parse_int(os.environ["DQPT_JOBS"])
     cfg = RunConfig(task=args.task, **given)
     _validate(cfg)
     return cfg
@@ -214,6 +215,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"tol must be finite and positive, got {cfg.tol}")
     if cfg.k_resolution < 64:
         raise ConfigError(f"k_resolution must be >= 64, got {cfg.k_resolution}")
+    if cfg.k_resolution > _MAX_K_RESOLUTION:  # before any task builds its momentum grid
+        raise ConfigError(f"k_resolution must be <= {_MAX_K_RESOLUTION}, got {cfg.k_resolution}")
     if cfg.n_sites < 2 or cfg.n_sites % 2:
         raise ConfigError(f"n_sites must be even and >= 2, got {cfg.n_sites}")
     if cfg.n_sites > _MAX_SITES:  # before any task builds its modes
@@ -229,8 +232,6 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"n_max must be <= {_MAX_STEPS}, got {cfg.n_max}")
     if cfg.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
-    if cfg.sweep_cap < 1:
-        raise ConfigError(f"sweep_cap must be >= 1, got {cfg.sweep_cap}")
     if not cfg.branches:
         raise ConfigError("need at least one branch")
     try:
@@ -241,7 +242,7 @@ def _validate(cfg: RunConfig):
         return  # the other tasks read no time grid
     try:  # the grid must pass the library's own checks: increasing, and uniform for cusps
         with np.errstate(all="ignore"):  # an overflowing window gives NaN times, rejected here
-            grid = RateSeries(_times(cfg), np.zeros(cfg.steps), "quadrature", protocol)
+            grid = RateSeries(_times(cfg), np.zeros(cfg.steps), protocol)
         if cfg.task == "sweep":
             detect_cusps(grid)
     except ValueError as exc:
@@ -536,6 +537,37 @@ def _cell_outcome(cell_dir, result):
         return None, False, f"{os.path.basename(cell_dir)}: {error}"
 
 
+def _pooled_outcomes(payloads, workers):
+    """_cell_outcome of every cell, in cell order, from a pool holding at most
+    `workers` cells at a time: a pool cannot cancel the calls it has queued,
+    so a MemoryError then stops the sweep once the cells still running end.
+    A worker that dies breaks the pool and fails every cell in it with
+    BrokenProcessPool; those cells and the ones not yet submitted then run
+    one at a time, each in a fresh one-worker pool, so that only a cell
+    that kills its own worker fails."""
+    outcomes, running, broken = [None] * len(payloads), {}, []
+    todo = collections.deque(range(len(payloads)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        while running or (todo and not broken):
+            while todo and not broken and len(running) < workers:
+                i = todo.popleft()
+                try:
+                    running[pool.submit(_sweep_cell, payloads[i])] = i
+                except BrokenProcessPool:  # a worker died since the last wait
+                    broken.append(i)
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                i = running.pop(future)
+                if isinstance(future.exception(), BrokenProcessPool):
+                    broken.append(i)
+                else:
+                    outcomes[i] = _cell_outcome(payloads[i][1], future.result)
+    for i in sorted([*broken, *todo]):
+        with ProcessPoolExecutor(max_workers=1) as alone:
+            outcomes[i] = _cell_outcome(payloads[i][1], alone.submit(_sweep_cell, payloads[i]).result)
+    return outcomes
+
+
 _INDEX = (
     "cell,beta,phi,lambda_post,n_critical_modes,first_critical_time,cusp_count",
     "%s,%.17g,%.17g,%.17g,%d,%.17g,%d\n",
@@ -550,10 +582,8 @@ def _run_sweep(cfg: RunConfig) -> int:
         cfg.lambda_post_list if cfg.lambda_post_list is not None else (cfg.lambda_post,)
     )
     cells = [(b, p, lp) for b in betas for p in phis for lp in lambda_posts]
-    if len(cells) > cfg.sweep_cap:
-        raise ConfigError(
-            f"sweep has {len(cells)} cells, above the cap of {cfg.sweep_cap}"
-        )
+    if len(cells) > _MAX_CELLS:
+        raise ConfigError(f"sweep has {len(cells)} cells, above the cap of {_MAX_CELLS}")
 
     out_dir = cfg.out or "sweep_out"
     payloads, names = [], set()
@@ -581,9 +611,7 @@ def _run_sweep(cfg: RunConfig) -> int:
 
     workers = min(cfg.jobs, len(payloads))  # a pool forks all its workers up front
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_cell, payload) for payload in payloads]
-            results = [_cell_outcome(p[1], f.result) for p, f in zip(payloads, futures)]
+        results = _pooled_outcomes(payloads, workers)
     else:
         results = [_cell_outcome(p[1], functools.partial(_sweep_cell, p)) for p in payloads]
 

@@ -59,18 +59,15 @@ class CriticalSet:
     jump_signs: list
     residuals: np.ndarray
     condition_variant: str
-    protocol: QuenchProtocol
 
 
 @dataclass(frozen=True, eq=False)
 class FisherLine:
     """One branch of the zero line of the boundary partition function."""
 
-    branch: int
     momenta: np.ndarray
     zeros: np.ndarray
     skipped: np.ndarray
-    protocol: QuenchProtocol
     coefficients: ModeCoefficients  # at momenta, the kept samples
 
 
@@ -86,7 +83,6 @@ class VariantRow:
 @dataclass(frozen=True, eq=False)
 class VariantReport:
     rows: list
-    protocol: QuenchProtocol
 
 
 def _check_variant(variant: str) -> str:
@@ -204,7 +200,6 @@ def critical_modes(
         jump_signs=signs,
         residuals=residuals,
         condition_variant=variant,
-        protocol=protocol,
     )
 
 
@@ -230,11 +225,9 @@ def fisher_zero_line(protocol: QuenchProtocol, branch_n: int, k_samples, coeffs=
     re = (np.log(kept.weight_plus) - np.log(kept.weight_minus)) / (2.0 * eps)
     im = _ladder(branch_n, eps)
     return FisherLine(
-        branch=int(branch_n),
         momenta=k_samples[ok],
         zeros=re + 1j * im,
         skipped=k_samples[~ok],
-        protocol=protocol,
         coefficients=kept,
     )
 
@@ -259,4 +252,4 @@ def variant_report(protocol: QuenchProtocol) -> VariantReport:
             confirmed = bool(np.count_nonzero(abs(found["sinh"] - r) < h) % 2)
             residual_other = float(_variant_residual(protocol, r, other))
             rows.append(VariantRow(variant, float(r), float(fn(r)), residual_other, confirmed))
-    return VariantReport(rows=rows, protocol=protocol)
+    return VariantReport(rows=rows)

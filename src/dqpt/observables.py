@@ -36,9 +36,6 @@ __all__ = [
     "detect_cusps",
 ]
 
-_RATE_METHODS = ("quadrature", "finite_N")
-
-
 def _check_times(times) -> np.ndarray:
     """times as a float array; ValueError unless 1-d, finite and strictly increasing."""
     times = np.asarray(times, dtype=float)
@@ -57,7 +54,6 @@ class RateSeries:
 
     times: np.ndarray
     values: np.ndarray
-    method: str
     protocol: QuenchProtocol
     estimated_error: np.ndarray | None = None
 
@@ -66,8 +62,6 @@ class RateSeries:
         values = np.asarray(self.values, dtype=float)
         if times.shape != values.shape:
             raise ValueError("times and values must be 1-d arrays of equal length")
-        if self.method not in _RATE_METHODS:
-            raise ValueError(f"method must be one of {_RATE_METHODS}, got {self.method!r}")
         err = self.estimated_error
         if err is not None:
             err = np.asarray(err, dtype=float)
@@ -366,7 +360,6 @@ def compute_rate_series(
     return RateSeries(
         times=times,
         values=values,
-        method="quadrature",
         protocol=protocol,
         estimated_error=errors,
     )
@@ -375,14 +368,15 @@ def compute_rate_series(
 # ---------------------------------------------------------------------------
 # finite chains and single modes
 
-def _finite_rate_from_mode_echoes(mode_echoes, n_sites: int, overwrite: bool = False):
+def _finite_rate_from_mode_echoes(mode_echoes, n_sites: int):
     """Per-site rate from the per-mode squared amplitudes, along the last axis.
 
-    An exact zero's -inf log makes its row math.inf, so callers can flag it
-    as singular.  1-d input gives a float.  overwrite logs in place.
+    The logs overwrite mode_echoes, a float array.  An exact zero's -inf log
+    makes its row math.inf, so callers can flag it as singular.  1-d input
+    gives a float.
     """
     with np.errstate(divide="ignore"):
-        logs = np.log(mode_echoes, out=mode_echoes if overwrite else None)
+        logs = np.log(mode_echoes, out=mode_echoes)
     out = -np.sum(logs, axis=-1) / n_sites
     return float(out) if out.ndim == 0 else out
 
@@ -407,13 +401,13 @@ def compute_rate_series_finite(
     values = np.empty(times.size)
 
     def fill(lo, tb, echoes):  # on a block thread
-        rates = _finite_rate_from_mode_echoes(echoes[0], n_sites, overwrite=True)
+        rates = _finite_rate_from_mode_echoes(echoes[0], n_sites)
         values[lo : lo + tb.size] = rates
 
     blocks = _echo_blocks(fill, coeffs.eps_post, times, coeffs.imbalance, diagnostics=diagnostics)
     for _ in blocks:
         pass
-    return RateSeries(times=times, values=values, method="finite_N", protocol=protocol)
+    return RateSeries(times=times, values=values, protocol=protocol)
 
 
 def critical_rate_function(protocol: QuenchProtocol, k_star: float, t):
@@ -461,7 +455,6 @@ class PhaseProfile:
     geometric_phase: np.ndarray
     time: float
     refinements: int
-    protocol: QuenchProtocol
 
     @property
     def winding(self) -> float:
@@ -552,7 +545,6 @@ def phase_profile(
         geometric_phase=geometric,
         time=t,
         refinements=added,
-        protocol=protocol,
     )
 
 

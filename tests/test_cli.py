@@ -2,6 +2,8 @@ import concurrent.futures
 import math
 import multiprocessing
 import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -337,12 +339,14 @@ class TestSweepTask:
                     parallel / cell / name
                 ).read_bytes()
 
-    def test_cap_exceeded_exits_before_any_computation(self, tmp_path):
+    def test_cap_exceeded_exits_before_any_computation(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("dqpt.cli._MAX_CELLS", 1)
         cfg = tmp_path / "s.cfg"
-        cfg.write_text(self.CFG + "sweep_cap = 1\n", encoding="utf-8")
+        cfg.write_text(self.CFG, encoding="utf-8")
         out = tmp_path / "capped"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
-        assert not (out / "index.csv").exists()
+        assert capsys.readouterr().err == "dqpt: sweep has 2 cells, above the cap of 1\n"
+        assert not out.exists()
 
     def test_scalar_fallback_single_cell(self, tmp_path):
         cfg = tmp_path / "s.cfg"
@@ -351,15 +355,6 @@ class TestSweepTask:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         _, rows = read_rows(out / "index.csv")
         assert len(rows) == 1
-
-    def test_jobs_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DQPT_JOBS", "2")
-        cfg = tmp_path / "s.cfg"
-        cfg.write_text(self.CFG, encoding="utf-8")
-        out = tmp_path / "env_out"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        manifest = dict(RunManifest.from_text((out / "sweep.manifest").read_text()).entries)
-        assert manifest["config.jobs"] == "2"
 
 
 @pytest.mark.parametrize("steps", ["2", "3", "4"])
@@ -671,6 +666,28 @@ def test_echo_rows_above_the_cap_are_a_config_error():
         _validate(RunConfig(task="echo-decomposition", n_sites=2000, steps=steps + 1))
 
 
+@pytest.mark.parametrize("task", ["zeros", "winding"])
+def test_k_resolution_above_the_cap_exits_2_before_any_grid(tmp_path, capsys, monkeypatch, task):
+    def no_grid(k_resolution):
+        raise AssertionError("a momentum grid was built")
+
+    monkeypatch.setattr("dqpt.cli._base_grid", no_grid)
+    monkeypatch.setattr("dqpt.observables._base_grid", no_grid)
+    argv = [task, "--k-resolution", "10000001", "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "dqpt: k_resolution must be <= 10000000, got 10000001\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("task", ["zeros", "winding"])
+def test_the_k_resolution_cap_is_inclusive(tmp_path, capsys, monkeypatch, task):
+    monkeypatch.setattr("dqpt.cli._MAX_K_RESOLUTION", 100)
+    common = [task, "--steps", "3"]
+    assert main([*common, "--k-resolution", "100", "--out", str(tmp_path / "a.csv")]) == 0
+    argv = [*common, "--k-resolution", "101", "--out", str(tmp_path / "b.csv")]
+    assert_exit_2_writes_nothing(tmp_path, capsys, argv)
+
+
 def test_the_work_caps_are_inclusive_and_exit_2_writing_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("dqpt.cli._MAX_SITES", 20)
     monkeypatch.setattr("dqpt.cli._MAX_ECHO_ROWS", 50)
@@ -754,6 +771,37 @@ def test_a_sweep_cell_out_of_memory_stops_the_sweep_with_exit_2(
     assert not list(out.rglob("*.tmp"))
 
 
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the workers must inherit the patched rate handler",
+)
+def test_a_pooled_sweep_out_of_memory_starts_no_further_cell(tmp_path, capsys, monkeypatch):
+    import dqpt.cli
+
+    handler, header, template = dqpt.cli._TASKS["rate"]
+
+    def slow_rate_or_out_of_memory(cell_cfg, warnings):
+        if cell_cfg.beta == 10.0:  # the first cell
+            raise MemoryError
+        time.sleep(0.5)
+        return handler(cell_cfg, warnings)
+
+    monkeypatch.setitem(dqpt.cli._TASKS, "rate", (slow_rate_or_out_of_memory, header, template))
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(
+        "lambda_pre = 0\nlambda_post_list = 0.5\nbeta_list = 10, 9, 8, 7, 6, 5, 4, 3\n"
+        "phi_list = -pi/2\nsteps = 41\nt_max = 8\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--jobs", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "dqpt: out of memory in sweep; reduce --steps or --n-sites\n"
+    started = [p for p in out.iterdir() if p.is_dir()]  # a cell makes its directory first
+    assert len(started) < 4
+    assert not (out / "index.csv").exists()
+    assert not list(out.rglob("*.tmp"))
+
+
 _DEAD_WORKER_CFG = (
     "lambda_pre = 0\n"
     "lambda_post_list = 0.5, 2\n"
@@ -769,7 +817,7 @@ def _sweep_cell_or_die(payload):  # module level, so the pool can pickle it by n
     cell_dir = payload[1]
     if os.path.basename(cell_dir) == _KILLED:
         # a worker killed mid-write (for memory, or in native code) leaves its temporary
-        os.makedirs(cell_dir)
+        os.makedirs(cell_dir, exist_ok=True)  # the cell runs again, alone
         open(os.path.join(cell_dir, "rate.csv.tmp"), "w").close()
         os._exit(1)
     return _sweep_cell(payload)
@@ -779,7 +827,7 @@ def _sweep_cell_or_die(payload):  # module level, so the pool can pickle it by n
     multiprocessing.get_start_method() != "fork",
     reason="the workers must inherit the patched _sweep_cell",
 )
-def test_a_dead_sweep_worker_fails_its_unfinished_cells_and_the_sweep_exits_3(
+def test_a_dead_sweep_worker_fails_only_its_own_cell_and_the_sweep_exits_3(
     tmp_path, capfd, monkeypatch
 ):
     import dqpt.cli
@@ -797,28 +845,50 @@ def test_a_dead_sweep_worker_fails_its_unfinished_cells_and_the_sweep_exits_3(
     assert main(["sweep", "--config", str(cfg), "--jobs", "2", "--out", str(out)]) == 3
     err = capfd.readouterr().err
     assert "Traceback" not in err
-    assert all(line.startswith("dqpt: sweep: failed cell ") for line in err.splitlines())
 
-    # the finished cells' rows, as in a clean sweep; the index keeps its header
-    header, *clean_rows = (clean / "index.csv").read_text().splitlines()
-    lines = (out / "index.csv").read_text().splitlines()
-    assert lines[0] == header
-    assert set(lines[1:]) <= set(clean_rows)
-    finished = {line.split(",")[0] for line in lines[1:]}
-    assert _KILLED not in finished
-
+    # every healthy cell's row, as in a clean sweep, under the same header
+    clean_lines = (clean / "index.csv").read_text().splitlines()
+    assert (out / "index.csv").read_text().splitlines() == [
+        line for line in clean_lines if not line.startswith(_KILLED)
+    ]
     manifest = dict(RunManifest.from_text((out / "sweep.manifest").read_text()).entries)
-    names = [row.split(",")[0] for row in clean_rows]  # the sweep's cell order
-    assert manifest["cells"] == "4"
-    assert manifest["failed_cells"] == str(4 - len(finished))
-    for i, name in enumerate(names):
-        if name in finished:
-            assert f"cell_error.{i}" not in manifest
-        else:
-            assert manifest[f"cell_error.{i}"].startswith(f"{name}: BrokenProcessPool: ")
-            assert f"failed cell {manifest[f'cell_error.{i}']}" in err
+    assert (manifest["cells"], manifest["failed_cells"]) == ("4", "1")
+    assert [k for k in manifest if k.startswith("cell_error.")] == ["cell_error.3"]
+    assert manifest["cell_error.3"].startswith(f"{_KILLED}: BrokenProcessPool: ")
+    assert err == f"dqpt: sweep: failed cell {manifest['cell_error.3']}\n"
     assert [p.relative_to(out).as_posix() for p in out.rglob("*.tmp")] == ["other/keep.tmp"]
     assert not multiprocessing.active_children()
+
+
+class _PoolBrokenAfterOneCell(_FakePool):
+    """A many-worker stand-in whose worker dies after its first cell: every
+    later submit raises BrokenProcessPool, as a broken pool's does."""
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        self.breaks = max_workers > 1  # the one-worker pools do not
+        self.used = False
+
+    def submit(self, fn, *args):
+        if self.breaks and self.used:
+            raise BrokenProcessPool("a worker died")
+        self.used = True
+        return super().submit(fn, *args)
+
+
+def test_cells_a_broken_pool_never_took_run_alone_in_fresh_pools(tmp_path, monkeypatch):
+    import dqpt.cli
+
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(_DEAD_WORKER_CFG, encoding="utf-8")
+    clean = tmp_path / "clean"
+    assert main(["sweep", "--config", str(cfg), "--out", str(clean)]) == 0
+    monkeypatch.setattr(_FakePool, "created", [])
+    monkeypatch.setattr(dqpt.cli, "ProcessPoolExecutor", _PoolBrokenAfterOneCell)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--jobs", "2", "--out", str(out)]) == 0
+    assert _FakePool.created == [2, 1, 1, 1]  # cells 1, 2 and 3 alone
+    assert (out / "index.csv").read_bytes() == (clean / "index.csv").read_bytes()
 
 
 def _sweep_cell_or_leave_a_temporary(payload):

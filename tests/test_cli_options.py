@@ -37,7 +37,6 @@ EXPECTED = {
     "n_max": ("--n-max", 3),
     "out": ("--out", None),
     "jobs": ("--jobs", 1),
-    "sweep_cap": ("--sweep-cap", 10000),
     "beta_list": (None, None),
     "phi_list": (None, None),
     "lambda_post_list": (None, None),
@@ -61,7 +60,6 @@ SAMPLES = {
     "n_max": "2",
     "out": "some dir/r.csv",
     "jobs": "3",
-    "sweep_cap": "5",
     "beta_list": "1, 0.1",
     "phi_list": "pi/2, -pi/2",
     "lambda_post_list": "2",
@@ -86,7 +84,6 @@ CONFIG_KEYS = [
     "config.n_max",
     "config.out",
     "config.jobs",
-    "config.sweep_cap",
     "config.beta_list",
     "config.phi_list",
     "config.lambda_post_list",
@@ -114,8 +111,7 @@ def test_table_keys_flags_and_defaults_are_unchanged():
 
 
 @pytest.mark.parametrize("name", list(EXPECTED))
-def test_file_key_parses_to_a_non_default(tmp_path, name, monkeypatch):
-    monkeypatch.delenv("DQPT_JOBS", raising=False)
+def test_file_key_parses_to_a_non_default(tmp_path, name):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(f"{name} = {SAMPLES[name]}\n", encoding="utf-8")
     value = getattr(resolve(["rate", "--config", str(cfg_file)]), name)
@@ -123,8 +119,7 @@ def test_file_key_parses_to_a_non_default(tmp_path, name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", FLAGGED)
-def test_file_key_and_flag_give_the_same_value(tmp_path, name, monkeypatch):
-    monkeypatch.delenv("DQPT_JOBS", raising=False)
+def test_file_key_and_flag_give_the_same_value(tmp_path, name):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(f"{name} = {SAMPLES[name]}\n", encoding="utf-8")
     from_file = resolve(["rate", "--config", str(cfg_file)])
@@ -133,9 +128,9 @@ def test_file_key_and_flag_give_the_same_value(tmp_path, name, monkeypatch):
     assert getattr(from_flag, name) != EXPECTED[name][1]
 
 
-def test_flag_beats_file_beats_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("DQPT_JOBS", "4")
-    assert resolve(["rate"]).jobs == 4
+def test_flag_beats_file_and_the_environment_sets_nothing(tmp_path, monkeypatch):
+    monkeypatch.setenv("DQPT_JOBS", "4")  # once a third source for --jobs
+    assert resolve(["rate"]).jobs == 1
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("jobs = 2\n", encoding="utf-8")
     assert resolve(["rate", "--config", str(cfg_file)]).jobs == 2

@@ -73,7 +73,7 @@ _sample = st.one_of(
 )
 def test_matches_loop_detector(values, ratio, window, guard):
     r = np.asarray(values, dtype=float)
-    series = RateSeries(np.linspace(0.0, 1.0, r.size), r, "quadrature", PROTOCOL)
+    series = RateSeries(np.linspace(0.0, 1.0, r.size), r, PROTOCOL)
     expected = loop_detect_cusps(series, ratio, window, guard)
     assert detect_cusps(series, ratio, window, guard) == expected
 
@@ -93,7 +93,7 @@ def test_matches_loop_detector_on_kinked_curves(kinks, slopes, noise, window, gu
     for i, s in zip(kinks, slopes):
         r = r + s * np.maximum(t - t[i], 0.0)
     r = r + noise * np.cos(37.0 * t)
-    series = RateSeries(t, r, "quadrature", PROTOCOL)
+    series = RateSeries(t, r, PROTOCOL)
     assert detect_cusps(series, 50.0, window, guard) == loop_detect_cusps(
         series, 50.0, window, guard
     )

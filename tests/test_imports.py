@@ -132,7 +132,8 @@ README_NAME = re.compile(r"`(?:(?P<module>[A-Za-z]\w*)\.)?(?P<name>_[A-Za-z0-9]\
 
 def unresolved_readme_names(text):
     """Backticked private names of text that src/dqpt does not define and
-    tests/ does not name; `module._name` must be defined in that module."""
+    tests/ does not name; `module._name` must be defined in that module when
+    it is a dqpt module, and names no project code otherwise (`os._exit`)."""
     modules = {module: defined(tree) for module, (_, tree) in parsed().items()}
     in_src = set().union(*modules.values())
     in_tests = set().union(
@@ -142,7 +143,7 @@ def unresolved_readme_names(text):
     for match in README_NAME.finditer(text):
         module, name = match.group("module", "name")
         if module is not None:
-            if name not in modules.get(module, ()):
+            if module in modules and name not in modules[module]:
                 out.add(match.group(0))
         elif name not in in_src | in_tests:
             out.add(match.group(0))
@@ -154,5 +155,8 @@ def test_every_private_name_in_the_readme_resolves():
 
 
 def test_the_finder_sees_an_unresolved_readme_name():
-    text = "`_echo_blocks`, `_split`, `_RateQuad`, `observables._node_data`, `model._node_data`"
+    text = (
+        "`_echo_blocks`, `_split`, `_RateQuad`, `observables._node_data`, `model._node_data`,"
+        " `os._exit`"
+    )
     assert unresolved_readme_names(text) == {"`_RateQuad`", "`model._node_data`"}

@@ -91,34 +91,24 @@ class TestFiniteSizeRate:
         assert rate_function_finite(STANDARD, n, t) == pytest.approx(-total / n, abs=1e-14)
 
     def test_exact_amplitude_zero_reported_as_infinite(self):
-        assert _finite_rate_from_mode_echoes([1.0, 0.0, 0.5], 6) == math.inf
-        assert math.isfinite(_finite_rate_from_mode_echoes([1.0, 0.3, 0.5], 6))
+        assert _finite_rate_from_mode_echoes(np.array([1.0, 0.0, 0.5]), 6) == math.inf
+        assert math.isfinite(_finite_rate_from_mode_echoes(np.array([1.0, 0.3, 0.5]), 6))
 
 
 class TestRateSeries:
     def test_rejects_unsorted_times(self):
         with pytest.raises(ValueError):
-            RateSeries(np.array([0.0, 2.0, 1.0]), np.zeros(3), "quadrature", STANDARD)
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            RateSeries(np.array([0.0, 1.0]), np.zeros(2), "simpson", STANDARD)
+            RateSeries(np.array([0.0, 2.0, 1.0]), np.zeros(3), STANDARD)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            RateSeries(np.array([0.0, 1.0]), np.zeros(3), "quadrature", STANDARD)
+            RateSeries(np.array([0.0, 1.0]), np.zeros(3), STANDARD)
         with pytest.raises(ValueError):
-            RateSeries(
-                np.array([0.0, 1.0]),
-                np.zeros(2),
-                "quadrature",
-                STANDARD,
-                estimated_error=np.zeros(3),
-            )
+            RateSeries(np.array([0.0, 1.0]), np.zeros(2), STANDARD, estimated_error=np.zeros(3))
 
     def test_rejects_a_2d_grid(self):
         with pytest.raises(ValueError, match="times must be a 1-d array"):
-            RateSeries(np.zeros((2, 1)), np.zeros((2, 1)), "quadrature", STANDARD)
+            RateSeries(np.zeros((2, 1)), np.zeros((2, 1)), STANDARD)
 
 
 def _no_echo(*args):
@@ -281,7 +271,7 @@ class TestWindingNumber:
 class TestDetectCusps:
     @staticmethod
     def _series(times, values):
-        return RateSeries(np.asarray(times), np.asarray(values), "quadrature", STANDARD)
+        return RateSeries(np.asarray(times), np.asarray(values), STANDARD)
 
     def test_smooth_series_has_no_cusps(self):
         t = np.linspace(0.0, 4.0, 400)

@@ -90,7 +90,6 @@ def old_phase_profile(
         geometric_phase=geometric,
         time=t,
         refinements=added,
-        protocol=protocol,
     )
 
 

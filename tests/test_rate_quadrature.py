@@ -246,8 +246,14 @@ def test_nodes_evaluated_counts_every_integrand_evaluation(monkeypatch):
             ),
             7.229851462834794,
         ),
+        (
+            QuenchProtocol(
+                0.7513462685856823, 0.04603835236505904, 0.4499325200125689, 1.951202378470364
+            ),
+            4.939576723569448,
+        ),
     ],
-    ids=["true-error-6.7e-8", "true-error-2.3e-8"],
+    ids=["true-error-6.7e-8", "true-error-2.3e-8", "true-error-2.4e-8"],
 )
 def test_error_bound_dominates_the_large_n_reference_next_to_a_rung(protocol, t):
     value, bound = rate_function(protocol, t)

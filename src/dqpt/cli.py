@@ -32,6 +32,7 @@ from .criticality import VARIANTS, critical_modes, fisher_zero_line, variant_rep
 from .mode_dynamics import (  # noqa: F401 (perfbench traces null_work_decomposition here)
     boundary_partition,
     mode_coefficients,
+    mode_echo,
     null_work_decomposition,
 )
 from .model import QuenchProtocol, mode_grid
@@ -39,7 +40,6 @@ from .observables import (
     RateSeries,
     UnwrapError,
     _base_grid,
-    _echo_blocks,
     compute_rate_series,
     compute_rate_series_finite,
     detect_cusps,
@@ -63,6 +63,7 @@ def _fmt(x) -> str:
 
 _INF_WORDS = {"inf", "infinity", "infinite"}
 _MAX_STEPS = 10**7  # time grid length (80 MB of times) and ladder length
+_MIN_TOL = 1e-15  # rate tolerance: below it float64 rounding keeps samples refining to the cap
 _MAX_SITES = 10**7  # chain length: 40 MB per mode array
 _MAX_K_RESOLUTION = 10**7  # zeros and winding base grid: 80 MB per array
 _MAX_ECHO_ROWS = 10**8  # echo-decomposition rows, steps x n_sites/2: about 7 GB of CSV
@@ -211,8 +212,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"steps must be <= {_MAX_STEPS}, got {cfg.steps}")
     if not -math.inf < cfg.t_min < cfg.t_max < math.inf:
         raise ConfigError(f"need finite t_min < t_max, got [{cfg.t_min}, {cfg.t_max}]")
-    if not 0.0 < cfg.tol < math.inf:
-        raise ConfigError(f"tol must be finite and positive, got {cfg.tol}")
+    if not _MIN_TOL <= cfg.tol < math.inf:  # before rate refines every sample to its split cap
+        raise ConfigError(f"tol must be finite and >= {_MIN_TOL}, got {cfg.tol}")
     if cfg.k_resolution < 64:
         raise ConfigError(f"k_resolution must be >= 64, got {cfg.k_resolution}")
     if cfg.k_resolution > _MAX_K_RESOLUTION:  # before any task builds its momentum grid
@@ -421,28 +422,16 @@ def _task_echo_decomposition(cfg, warnings):
     # the null-work probability cos^2 + sin^2 cos^2(2 dtheta) is the echo
     # with the imbalance replaced by cos(2 dtheta)
     null_imbalance = np.cos(2.0 * coeffs.delta_theta)
-    diag_in: dict = {}
-    # (time block x mode) echoes, one block at a time on this thread: row
-    # formatting, not the echoes, sets the pace, and rows need no copies
-    blocks = _echo_blocks(
-        lambda lo, tb, echoes: (tb, *echoes),
-        coeffs.eps_post,
-        times,
-        coeffs.imbalance,
-        null_imbalance,
-        inline=True,
-        diagnostics=diag_in,
-    )
 
-    def rows():  # t and k are formatted once each
+    def rows():  # t and k are formatted once each; the two echoes of one time at a time
         k_text = ["%.17g" % k for k in momenta.tolist()]
-        for tb, echo, null in blocks:
-            for t, echo_t, null_t in zip(tb.tolist(), echo, null):
-                columns = (echo_t.tolist(), null_t.tolist(), (echo_t - null_t).tolist())
-                yield from zip(itertools.repeat("%.17g" % t), k_text, *columns)
+        for t in times.tolist():
+            echo = mode_echo(coeffs.imbalance, coeffs.eps_post, t)
+            null = mode_echo(null_imbalance, coeffs.eps_post, t)
+            columns = (echo.tolist(), null.tolist(), (echo - null).tolist())
+            yield from zip(itertools.repeat("%.17g" % t), k_text, *columns)
 
-    diag = [("blocks.threads", diag_in["block_threads"]), ("echo.rows", times.size * momenta.size)]
-    return None, rows(), diag, False
+    return None, rows(), [("echo.rows", times.size * momenta.size)], False
 
 
 def _task_variant_report(cfg, warnings):

@@ -13,6 +13,7 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from contextvars import copy_context
 from dataclasses import dataclass
 
@@ -85,30 +86,26 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _echo_blocks(fn, eps_post, times, *imbalances, inline=False, diagnostics=None):
-    """An iterator of fn(lo, time block, echoes) over a 1-d grid of times,
-    in block order: echoes holds one mode_echo array of shape
-    (block, *eps_post.shape) per imbalance.
+def _echo_blocks(fn, eps_post, times, imbalance, diagnostics=None):
+    """An iterator of fn(lo, time block, echo) over a 1-d grid of times, in
+    block order: echo is the mode_echo array of shape (block, *eps_post.shape).
 
-    Blocks hold about _BLOCK_BYTES of echoes each.  eps' and the
-    imbalances are copied once, all at 64-byte-aligned addresses
-    (_aligned_empty).  The blocks run on min(CPUs, _ROUND_BLOCKS, blocks)
-    threads, or on one if inline: the calling thread and a pool that lives
-    for the call, each with its own echo and work buffers allocated once
-    per call.  fn may overwrite its echoes in place.
+    Blocks hold about _BLOCK_BYTES of echoes each.  eps' and the imbalance
+    are copied once, at 64-byte-aligned addresses (_aligned_empty).  The
+    blocks run on min(CPUs, _ROUND_BLOCKS, blocks) threads: the calling
+    thread and, on more than one, a pool that lives for the call, each with
+    its own echo and work buffers allocated once per call.  fn may
+    overwrite its echo in place; what it returns must not be a view of it,
+    which the thread reuses for its next block.
 
-    One thread runs fn inline and starts none: each block is computed when
-    the next result is asked for, so fn's result may be a view of its
-    echoes until then.  On more threads, rounds of _ROUND_BLOCKS blocks are
-    dealt out in turn; a round's results are yielded only once all of them
-    are in, so the caller's own work between two yields runs while no
-    block does, and what fn returns must not be a view of its echoes,
-    which the thread reuses for its next block.  Pool tasks run in a copy
-    of the caller's context, so the caller's np.errstate holds inside fn
-    on every thread.  An exception in fn propagates unchanged once every
-    thread has stopped: inline after the blocks before its own, on threads
-    after the earlier rounds and before any block of its own round.
-    diagnostics, if given, receives block_threads before any block runs.
+    Rounds of _ROUND_BLOCKS blocks are dealt out in turn; a round's results
+    are yielded only once all of them are in, so the caller's own work
+    between two yields runs while no block does.  Pool tasks run in a copy
+    of the caller's context, so the caller's np.errstate holds inside fn on
+    every thread.  An exception in fn propagates unchanged once every
+    thread has stopped, after the earlier rounds and before any block of
+    its own round.  diagnostics, if given, receives block_threads before
+    any block runs.
     """
 
     def aligned(a):
@@ -116,27 +113,25 @@ def _echo_blocks(fn, eps_post, times, *imbalances, inline=False, diagnostics=Non
         out[...] = a
         return out
 
-    eps = aligned(eps_post)
-    imbalances = [aligned(a) for a in imbalances]
+    eps, imbalance = aligned(eps_post), aligned(imbalance)
     block = max(1, _BLOCK_BYTES // eps.nbytes)
     starts = range(0, times.size, block)
-    threads = min(1 if inline else min(_cpus(), _ROUND_BLOCKS), len(starts))
+    threads = min(_cpus(), _ROUND_BLOCKS, len(starts))
     if diagnostics is not None:
         diagnostics["block_threads"] = threads
     shape = (min(block, times.size), *eps.shape)
-    slots = [
-        [_aligned_empty(shape) for _ in range(len(imbalances) + 1)] for _ in range(threads)
-    ]
+    slots = [(_aligned_empty(shape), _aligned_empty(shape)) for _ in range(threads)]
 
     def step(slot, lo):
-        *bufs, work = slots[slot]
+        out, work = slots[slot]
         tb = times[lo : lo + block]
         n = tb.size
         t = tb.reshape((n,) + (1,) * eps.ndim)
-        return fn(lo, tb, [mode_echo(a, eps, t, b[:n], work[:n]) for a, b in zip(imbalances, bufs)])
+        return fn(lo, tb, mode_echo(imbalance, eps, t, out[:n], work[:n]))
 
     def rounds():
-        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        pool = ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else nullcontext()
+        with pool:
             for first in range(0, len(starts), _ROUND_BLOCKS):
                 round_ = starts[first : first + _ROUND_BLOCKS]
                 # slot s takes every threads-th block of the round from the s-th; the
@@ -150,7 +145,7 @@ def _echo_blocks(fn, eps_post, times, *imbalances, inline=False, diagnostics=Non
                 for j in range(len(round_)):
                     yield done[j % threads][j // threads]
 
-    return (step(0, lo) for lo in starts) if threads <= 1 else rounds()
+    return rounds()
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +325,8 @@ def compute_rate_series(
     # refinement) are refined once they fill about one _BLOCK_BYTES, and at the end
     flush = max(1, _BLOCK_BYTES // (4 * half.nbytes))
 
-    def bulk(lo, tb, echoes):  # on a block thread: values, errors and the held rows
-        i15, err = _panel_sums(half, _log_echo_values(echoes[0]))
+    def bulk(lo, tb, echo):  # on a block thread: values, errors and the held rows
+        i15, err = _panel_sums(half, _log_echo_values(echo))
         total = np.sum(err, axis=-1)
         values[lo : lo + tb.size] = np.sum(i15, axis=-1)
         errors[lo : lo + tb.size] = total
@@ -400,8 +395,8 @@ def compute_rate_series_finite(
     coeffs = mode_coefficients(protocol, mode_grid(n_sites).momenta)
     values = np.empty(times.size)
 
-    def fill(lo, tb, echoes):  # on a block thread
-        rates = _finite_rate_from_mode_echoes(echoes[0], n_sites)
+    def fill(lo, tb, echo):  # on a block thread
+        rates = _finite_rate_from_mode_echoes(echo, n_sites)
         values[lo : lo + tb.size] = rates
 
     blocks = _echo_blocks(fill, coeffs.eps_post, times, coeffs.imbalance, diagnostics=diagnostics)
@@ -462,13 +457,13 @@ class PhaseProfile:
         return float((self.geometric_phase[-1] - self.geometric_phase[0]) / math.tau)
 
 
-def _phase_samples(protocol, t, k, gauge_offset):
+def _phase_samples(protocol, t, k):
     coeffs = mode_coefficients(protocol, k)
     eps = np.asarray(coeffs.eps_post)
     a = np.asarray(coeffs.imbalance)
     ph = eps * t
     wrapped = np.arctan2(a * np.sin(ph), np.cos(ph))
-    dynamical = t * (eps * a + gauge_offset)
+    dynamical = t * (eps * a)
     return wrapped, dynamical
 
 
@@ -492,7 +487,6 @@ def phase_profile(
     protocol: QuenchProtocol,
     t,
     k_resolution: int = 256,
-    gauge_offset: float = 0.0,
 ) -> PhaseProfile:
     """Unwrapped phase profile at time t.
 
@@ -501,8 +495,6 @@ def phase_profile(
     phases all stay below pi/2; failure to get there within
     _MAX_UNWRAP_ROUNDS rounds and _MAX_UNWRAP_MOMENTA added momenta raises
     UnwrapError.
-    gauge_offset adds a constant to the dynamical-phase integrand, a hook
-    for checking that winding jumps do not depend on that convention.
     """
     if k_resolution < 64:
         raise ValueError(f"k_resolution must be >= 64, got {k_resolution!r}")
@@ -510,7 +502,7 @@ def phase_profile(
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
     k = _base_grid(int(k_resolution))
-    wrapped, dynamical = _phase_samples(protocol, t, k, gauge_offset)
+    wrapped, dynamical = _phase_samples(protocol, t, k)
     rounds = 0
     added = 0
     while True:
@@ -529,7 +521,7 @@ def phase_profile(
                 0.5 * (k[i] + k[i + 1]), t, _nearest_critical_time(protocol, t)
             )
         mids = 0.5 * (k[idx] + k[idx + 1])
-        w_m, d_m = _phase_samples(protocol, t, mids, gauge_offset)
+        w_m, d_m = _phase_samples(protocol, t, mids)
         # within the round cap each midpoint lies strictly inside its gap: k stays sorted
         k = np.insert(k, idx + 1, mids)
         wrapped = np.insert(wrapped, idx + 1, w_m)
@@ -548,11 +540,9 @@ def phase_profile(
     )
 
 
-def winding_number(
-    protocol: QuenchProtocol, t, k_resolution: int = 256, gauge_offset: float = 0.0
-) -> float:
+def winding_number(protocol: QuenchProtocol, t, k_resolution: int = 256) -> float:
     """PhaseProfile.winding of the profile at time t."""
-    return phase_profile(protocol, t, k_resolution, gauge_offset).winding
+    return phase_profile(protocol, t, k_resolution).winding
 
 
 # ---------------------------------------------------------------------------

@@ -688,6 +688,28 @@ def test_the_k_resolution_cap_is_inclusive(tmp_path, capsys, monkeypatch, task):
     assert_exit_2_writes_nothing(tmp_path, capsys, argv)
 
 
+@pytest.mark.parametrize("tol", ["1e-16", "1e-300"])
+def test_tol_below_the_float64_floor_exits_2_before_any_rate(tmp_path, capsys, monkeypatch, tol):
+    def no_rate(*args, **kwargs):
+        raise AssertionError("a rate series was computed")
+
+    monkeypatch.setattr("dqpt.cli.compute_rate_series", no_rate)
+    assert main(["rate", "--tol", tol, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"dqpt: tol must be finite and >= 1e-15, got {float(tol)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_tol_floor_is_inclusive(tmp_path, capsys, monkeypatch):
+    from dqpt.cli import _MIN_TOL, RunConfig, _validate
+
+    _validate(RunConfig(task="rate", tol=_MIN_TOL))
+    monkeypatch.setattr("dqpt.cli._MIN_TOL", 1e-6)
+    common = ["rate", "--steps", "5"]
+    assert main([*common, "--tol", "1e-6", "--out", str(tmp_path / "a.csv")]) == 0
+    argv = [*common, "--tol", "9.99e-7", "--out", str(tmp_path / "b.csv")]
+    assert_exit_2_writes_nothing(tmp_path, capsys, argv)
+
+
 def test_the_work_caps_are_inclusive_and_exit_2_writing_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("dqpt.cli._MAX_SITES", 20)
     monkeypatch.setattr("dqpt.cli._MAX_ECHO_ROWS", 50)

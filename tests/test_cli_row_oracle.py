@@ -24,6 +24,7 @@ from dqpt import (
     detect_cusps,
     fisher_zero_line,
     mode_coefficients,
+    observables,
     phase_profile,
     variant_report,
 )
@@ -155,10 +156,12 @@ def test_rate_csv_equals_the_old_rows(tmp_path, protocol, assert_same_csv):
     assert_same_csv(text, csv_text(header, rows))
 
 
-def test_rate_csv_with_singular_rows_equals_the_old_rows(tmp_path, assert_same_csv):
-    # a tolerance below the rate's float spacing is never met: every row flagged
-    argv = ["rate", *protocol_flags(PROTOCOLS[0]), "--t-min=0.5", "--t-max=2", "--steps=4"]
-    code, text, cfg = run(tmp_path, [*argv, "--tol=1e-18"])
+def test_rate_csv_with_singular_rows_equals_the_old_rows(tmp_path, monkeypatch, assert_same_csv):
+    # within 0.01 of the first critical time (1.1708) the base panels' bounds
+    # exceed the default tol, and no split is allowed: every row flagged
+    monkeypatch.setattr(observables, "_MAX_SPLITS", 0)
+    argv = ["rate", *protocol_flags(PROTOCOLS[0]), "--t-min=1.16", "--t-max=1.18", "--steps=4"]
+    code, text, cfg = run(tmp_path, argv)
     assert code == 3
     _, header, rows = old_rate_rows(_protocol(cfg), cfg)
     assert [r[-1] for r in rows] == ["1"] * 4

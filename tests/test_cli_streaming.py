@@ -104,8 +104,9 @@ def test_write_csv_counts_the_rows_it_writes(tmp_path):
 
 def test_echo_decomposition_memory_does_not_grow_with_its_output(tmp_path, monkeypatch):
     # defaults: 1000 sites x 401 steps, 200,500 rows (a 19.7 MB CSV); the
-    # list-building handler peaked about 63 MB above its start here.  Its
-    # blocks run on the calling thread, so the bound holds on any host
+    # list-building handler peaked about 63 MB above its start here.  It
+    # computes one time's echoes at a time on the calling thread, so the
+    # bound holds on any host
     bound_mb = 8.0
     for cpus in (1, 2, 64):
         monkeypatch.setattr(observables, "_cpus", lambda: cpus)
@@ -119,7 +120,7 @@ def test_echo_decomposition_memory_does_not_grow_with_its_output(tmp_path, monke
             tracemalloc.stop()
         assert (peak - start) / 1e6 < bound_mb
         manifest = read_manifest(tmp_path / "echo.csv")
-        assert (manifest["rows"], manifest["blocks.threads"]) == ("200500", "1")
+        assert manifest["rows"] == "200500"
 
 
 def _out_of_memory(*args, **kwargs):
@@ -144,17 +145,17 @@ def test_out_of_memory_mid_write_leaves_no_csv_and_no_temporary(tmp_path, capsys
     calls = []
 
     def echo_then_out_of_memory(*args):
-        # two calls per time block (echo, null work): fail in the third block
+        # two calls per time (echo, null work): fail at the third time
         calls.append(1)
         if len(calls) > 4:
             assert (tmp_path / "e.csv.tmp").stat().st_size > 0
             raise MemoryError
         return mode_echo(*args)
 
-    monkeypatch.setattr(observables, "mode_echo", echo_then_out_of_memory)  # _echo_blocks' own
+    monkeypatch.setattr(cli, "mode_echo", echo_then_out_of_memory)
     argv = ["echo-decomposition", "--out", str(tmp_path / "e.csv")]
-    for cpus in (1, 2, 64):  # its blocks stay on the calling thread
+    for cpus in (1, 2, 64):  # its echoes stay on the calling thread
         monkeypatch.setattr(observables, "_cpus", lambda: cpus)
         calls.clear()
         assert_clean_exit_2(tmp_path, capsys, argv)
-        assert len(calls) == 5  # rows of two blocks went to the temporary first
+        assert len(calls) == 5  # rows of two times went to the temporary first

@@ -89,9 +89,9 @@ def test_log_echo_values_in_place_are_the_allocating_logs(case):
 
 @st.composite
 def echo_blocks_case(draw):
-    """(eps', imbalances, times, rows per block): (modes,) or (panel, 22)
-    echo data, one or two imbalances, and a block of 1-4 rows, so that
-    block boundaries fall inside the grid."""
+    """(eps', imbalance, times, rows per block): (modes,) or (panel, 22)
+    echo data and a block of 1-4 rows, so that block boundaries fall inside
+    the grid."""
     if draw(st.booleans()):
         data_shape = (draw(st.integers(1, 4)), 22)
     else:
@@ -103,33 +103,30 @@ def echo_blocks_case(draw):
         return np.reshape(draw(values), data_shape)
 
     eps = node_values(0.0, 6.0)
-    imbalances = [node_values(-1.0, 1.0) for _ in range(draw(st.integers(1, 2)))]
+    imbalance = node_values(-1.0, 1.0)
     times = np.cumsum(draw(st.lists(st.floats(1e-3, 2.0, **finite), min_size=1, max_size=11)))
-    return eps, imbalances, times, draw(st.integers(1, 4))
+    return eps, imbalance, times, draw(st.integers(1, 4))
 
 
 @given(echo_blocks_case(), st.integers(0, 7))
 @settings(deadline=None, max_examples=200)
 def test_echo_blocks_tile_the_grid_with_the_allocating_echoes(case, spare_bytes):
-    eps, imbalances, times, rows = case
-    inputs = [eps.copy(), *(a.copy() for a in imbalances)]
+    eps, imbalance, times, rows = case
+    inputs = [eps.copy(), imbalance.copy()]
     block_bytes = rows * eps.nbytes + spare_bytes  # rows per block, whatever the spare
 
-    def check(lo, tb, echoes):
+    def check(lo, tb, echo):
         assert_bitwise(tb, times[lo : lo + rows])
-        assert len(echoes) == len(imbalances)
-        t = tb.reshape((-1,) + (1,) * eps.ndim)
-        for a, echo in zip(imbalances, echoes):
-            assert echo.ctypes.data % 64 == 0
-            assert echo.flags.c_contiguous
-            assert_bitwise(echo, mode_echo(a, eps, t))
-            echo[...] = math.nan  # callers may overwrite a block in place
+        assert echo.ctypes.data % 64 == 0
+        assert echo.flags.c_contiguous
+        assert_bitwise(echo, mode_echo(imbalance, eps, tb.reshape((-1,) + (1,) * eps.ndim)))
+        echo[...] = math.nan  # callers may overwrite a block in place
         return lo
 
     with mock.patch.object(observables, "_BLOCK_BYTES", block_bytes):
-        starts = list(_echo_blocks(check, eps, times, *imbalances))
+        starts = list(_echo_blocks(check, eps, times, imbalance))
     assert starts == list(range(0, times.size, rows))
-    for before, after in zip(inputs, [eps, *imbalances]):
+    for before, after in zip(inputs, [eps, imbalance]):
         assert_bitwise(after, before)
 
 

@@ -6,9 +6,9 @@ of _ROUND_BLOCKS blocks at a time.  Every output must be bit for bit that of
 one thread, whatever the thread count, the block size or the ragged last
 round; an error in a block must come out unchanged and leave no thread
 behind, with no block of the failing round yielded; the caller's
-np.errstate must hold inside the blocks; a grid of one block must start no
-thread; and what a round holds must not grow with the CPU count.  The CPU
-count is set by patching observables._cpus.
+np.errstate must hold inside the blocks; one CPU or a grid of one block
+must start no thread; and what a round holds must not grow with the CPU
+count.  The CPU count is set by patching observables._cpus.
 """
 
 import math
@@ -74,8 +74,8 @@ def with_threads(threads, fn, *args, **kwargs):
 def echo_csv(cfg):
     _, header, template = cli._TASKS["echo-decomposition"]
     warnings = []
-    _, rows, diag, _ = cli._task_echo_decomposition(cfg, warnings)
-    return header + "\n" + "".join(template % row for row in rows), dict(diag)
+    _, rows, _, _ = cli._task_echo_decomposition(cfg, warnings)
+    return header + "\n" + "".join(template % row for row in rows)
 
 
 @given(protocol_st, st.data(), st.integers(1, 40_000))
@@ -97,7 +97,7 @@ def test_outputs_bitwise_equal_on_one_two_and_three_threads(protocol, data, bloc
     )
     reference = with_threads(1, compute_rate_series, protocol, times)  # default blocks
     finite_ref = with_threads(1, compute_rate_series_finite, protocol, n_sites, times)
-    csv_ref, _ = with_threads(1, echo_csv, cfg)
+    csv_ref = with_threads(1, echo_csv, cfg)
     rate_nodes = _base_panels(protocol)[0].size * len(_NODES_X)
 
     def n_blocks(n_times, width):  # width floats of echo data a time
@@ -118,9 +118,7 @@ def test_outputs_bitwise_equal_on_one_two_and_three_threads(protocol, data, bloc
             assert np.array_equal(bits(series.values), bits(finite_ref.values))
             assert finite_diag["block_threads"] == min(threads, n_blocks(times.size, n_sites // 2))
 
-            text, echo_diag = with_threads(threads, echo_csv, cfg)
-            assert text == csv_ref
-            assert echo_diag["blocks.threads"] == 1  # row formatting sets its pace
+            assert with_threads(threads, echo_csv, cfg) == csv_ref
 
 
 def test_more_threads_than_cores_with_fast_switching_lose_no_row():
@@ -163,7 +161,7 @@ def test_an_error_in_a_block_propagates_unchanged_and_stops_every_thread(threads
     before = threading.active_count()
     error = BlockError(f"block {k}")
 
-    def fn(lo, tb, echoes):
+    def fn(lo, tb, echo):
         if lo == k:
             raise error
         return lo
@@ -173,34 +171,16 @@ def test_an_error_in_a_block_propagates_unchanged_and_stops_every_thread(threads
         for lo in many_blocks(threads, fn):
             seen.append(lo)
     assert info.value is error
-    # one thread: the blocks before it; more: the rounds before its own; in order
+    # the rounds before its own, in order, on every thread count
     rounds = observables._ROUND_BLOCKS
-    assert seen == list(range(k if threads == 1 else k - k % rounds))
+    assert seen == list(range(k - k % rounds))
     assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("k", [0, 5, 13])
-def test_an_inline_error_comes_after_every_block_before_it(monkeypatch, k):
-    monkeypatch.setattr(observables, "_cpus", lambda: 64)
-    error = BlockError(f"block {k}")
-
-    def fn(lo, tb, echoes):
-        if lo == k:
-            raise error
-        return lo
-
-    seen = []
-    with mock.patch.object(observables, "_BLOCK_BYTES", 1), pytest.raises(BlockError) as info:
-        for lo in _echo_blocks(fn, ECHO_EPS, np.linspace(0.0, 3.0, 23), ECHO_IMB, inline=True):
-            seen.append(lo)
-    assert info.value is error
-    assert seen == list(range(k))
 
 
 @pytest.mark.parametrize("threads", THREADS)
 def test_a_loop_left_early_stops_every_thread(threads):
     before = threading.active_count()
-    blocks = many_blocks(threads, lambda lo, tb, echoes: lo)
+    blocks = many_blocks(threads, lambda lo, tb, echo: lo)
     assert [next(blocks) for _ in range(3)] == [0, 1, 2]
     blocks.close()
     assert threading.active_count() == before
@@ -210,7 +190,7 @@ def test_a_loop_left_early_stops_every_thread(threads):
 def test_blocks_see_the_callers_errstate(threads):
     with np.errstate(divide="raise", over="ignore", under="warn", invalid="print"):
         caller = np.geterr()
-        seen = list(many_blocks(threads, lambda lo, tb, echoes: np.geterr()))
+        seen = list(many_blocks(threads, lambda lo, tb, echo: np.geterr()))
     assert seen == [caller] * 23
     assert caller != np.geterr()
 
@@ -225,7 +205,7 @@ def test_one_block_starts_no_thread(monkeypatch, threads, n_times):
     diag = {}
     with mock.patch.object(observables, "_cpus", lambda: threads):
         blocks = _echo_blocks(
-            lambda lo, tb, echoes: threading.current_thread(),
+            lambda lo, tb, echo: threading.current_thread(),
             ECHO_EPS,
             np.linspace(0.0, 1.0, n_times),
             ECHO_IMB,
@@ -249,7 +229,7 @@ def test_a_round_holds_a_fixed_number_of_blocks_whatever_the_cpus(monkeypatch):
     lock = threading.Lock()
     computed, outstanding, running = [0], [], []
 
-    def fn(lo, tb, echoes):
+    def fn(lo, tb, echo):
         with lock:
             computed[0] += 1
         running.append(threading.active_count() - before)
@@ -281,8 +261,8 @@ def test_held_rate_rows_stay_bounded_whatever_the_cpus(monkeypatch):
     alive = []
 
     def counting_blocks(fn, *args, **kwargs):
-        def counted(lo, tb, echoes):
-            held = fn(lo, tb, echoes)
+        def counted(lo, tb, echo):
+            held = fn(lo, tb, echo)
             with lock:
                 rows["computed"] += held[0].size
             return held
@@ -306,29 +286,17 @@ def test_held_rate_rows_stay_bounded_whatever_the_cpus(monkeypatch):
     assert max(alive) <= flush - 1 + observables._ROUND_BLOCKS * block
 
 
-def test_inline_blocks_run_lazily_on_the_calling_thread(monkeypatch):
+def test_one_thread_runs_whole_rounds_on_the_calling_thread(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was built")
 
-    monkeypatch.setattr(observables, "_cpus", lambda: 64)
     monkeypatch.setattr(observables, "ThreadPoolExecutor", no_pool)
     computed = []
-    diag = {}
-    times = np.linspace(0.0, 3.0, 23)
-    with mock.patch.object(observables, "_BLOCK_BYTES", 1):
-        blocks = _echo_blocks(
-            lambda lo, tb, echoes: computed.append(lo) or echoes[0],  # a view, valid until next
-            ECHO_EPS,
-            times,
-            ECHO_IMB,
-            inline=True,
-            diagnostics=diag,
-        )
-        for lo, echo in enumerate(blocks):
-            assert computed == list(range(lo + 1))
-            expected = observables.mode_echo(ECHO_IMB, ECHO_EPS, times[lo : lo + 1, None])
-            assert np.array_equal(bits(echo), bits(expected))
-    assert diag["block_threads"] == 1
+    blocks = many_blocks(1, lambda lo, tb, echo: computed.append(lo) or threading.current_thread())
+    assert next(blocks) is threading.current_thread()
+    assert computed == list(range(observables._ROUND_BLOCKS))  # a whole round, then a yield
+    assert list(blocks) == [threading.current_thread()] * 22
+    assert computed == list(range(23))
 
 
 def read_manifest(path):
@@ -351,8 +319,10 @@ def test_manifests_record_the_block_threads_and_the_csvs_do_not(tmp_path, monkey
         out = tmp_path / f"{threads}.csv"
         assert main([task, *argv, "--out", str(out)]) == 0
         manifest = read_manifest(tmp_path / f"{threads}.csv.manifest")
-        expected = 1 if task == "echo-decomposition" else threads
-        assert manifest["blocks.threads"] == str(expected)
+        if task == "echo-decomposition":  # one time at a time, no blocks
+            assert "blocks.threads" not in manifest
+        else:
+            assert manifest["blocks.threads"] == str(threads)
         texts[threads] = out.read_text()
     assert texts[1] == texts[2]
     assert "thread" not in texts[1].splitlines()[0]

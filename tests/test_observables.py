@@ -232,12 +232,6 @@ class TestWindingNumber:
         after = winding_number(STANDARD, T_STAR * 1.001)
         assert after - before == pytest.approx(-1.0, abs=1e-2)
 
-    def test_gauge_shift_leaves_winding_unchanged(self):
-        t = T_STAR * 1.001
-        assert winding_number(STANDARD, t, gauge_offset=0.7) == pytest.approx(
-            winding_number(STANDARD, t), abs=1e-9
-        )
-
     def test_unresolvable_twist_raises_with_location(self):
         with pytest.raises(UnwrapError) as exc_info:
             winding_number(STANDARD, T_STAR)

@@ -3,8 +3,9 @@
 The jump test of phase_profile takes gaps by slicing and the largest of
 the three phase jumps per gap in one comparison; before, it used np.diff
 and three comparisons joined by OR.  The oracle below is that earlier
-code, verbatim apart from its names and the budget on added momenta that
-phase_profile gained later.  The unwrapped profile, its
+code, verbatim apart from its names, the budget on added momenta that
+phase_profile gained later and the gauge offset it has since lost (a
+constant added to every dynamical phase, which cancels in every jump).  The unwrapped profile, its
 refinement count and any UnwrapError must agree bit for bit.  The mode
 coefficients both sides start from are checked against their own first
 form in tests/test_mode_geometry.py.
@@ -25,13 +26,13 @@ _JUMP_LIMIT = 0.5 * math.pi
 _MAX_UNWRAP_ROUNDS = 32
 
 
-def old_phase_samples(protocol, t, k, gauge_offset):
+def old_phase_samples(protocol, t, k):
     coeffs = mode_coefficients(protocol, k)
     eps = np.asarray(coeffs.eps_post)
     a = np.asarray(coeffs.imbalance)
     ph = eps * t
     wrapped = np.arctan2(a * np.sin(ph), np.cos(ph))
-    dynamical = t * (eps * a + gauge_offset)
+    dynamical = t * (eps * a)
     return wrapped, dynamical
 
 
@@ -39,7 +40,6 @@ def old_phase_profile(
     protocol: QuenchProtocol,
     t,
     k_resolution: int = 256,
-    gauge_offset: float = 0.0,
 ) -> PhaseProfile:
     if k_resolution < 64:
         raise ValueError(f"k_resolution must be >= 64, got {k_resolution!r}")
@@ -47,7 +47,7 @@ def old_phase_profile(
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
     k = np.linspace(K_EPS, math.pi - K_EPS, int(k_resolution))
-    wrapped, dynamical = old_phase_samples(protocol, t, k, gauge_offset)
+    wrapped, dynamical = old_phase_samples(protocol, t, k)
     rounds = 0
     added = 0
     while True:
@@ -71,7 +71,7 @@ def old_phase_profile(
             )
         idx = np.nonzero(bad)[0]
         mids = 0.5 * (k[idx] + k[idx + 1])
-        w_m, d_m = old_phase_samples(protocol, t, mids, gauge_offset)
+        w_m, d_m = old_phase_samples(protocol, t, mids)
         k = np.concatenate([k, mids])
         wrapped = np.concatenate([wrapped, w_m])
         dynamical = np.concatenate([dynamical, d_m])
@@ -132,27 +132,26 @@ protocol_st = st.builds(
     st.floats(-math.pi, math.pi, **finite),
 )
 resolution_st = st.sampled_from([64, 256, 257])
-gauge_st = st.floats(-2.0, 2.0, **finite).filter(lambda g: abs(g) >= 1e-3)
 
 
-@given(protocol_st, st.floats(0.0, 8.0, **finite), resolution_st, gauge_st)
+@given(protocol_st, st.floats(0.0, 8.0, **finite), resolution_st)
 @settings(deadline=None, max_examples=400)
 # 3.7e-4 before this protocol's first critical time 91450.2098: the momentum
 # budget stops refinement at k = 2.435e-5; without it, 32 rounds reach
 # k = 1.397e-5
-@example(QuenchProtocol(2.0, 0.99999, 1.0, -1.0), 91450.20944400439, 64, 1.0)
-def test_profile_bitwise_equal_to_the_earlier_implementation(protocol, t, k_resolution, gauge):
-    assert_same_outcome(protocol, t, k_resolution, gauge)
+@example(QuenchProtocol(2.0, 0.99999, 1.0, -1.0), 91450.20944400439, 64)
+def test_profile_bitwise_equal_to_the_earlier_implementation(protocol, t, k_resolution):
+    assert_same_outcome(protocol, t, k_resolution)
 
 
-@given(protocol_st, st.data(), resolution_st, gauge_st)
+@given(protocol_st, st.data(), resolution_st)
 @settings(deadline=None, max_examples=60)
-def test_same_unwrap_outcome_on_a_first_critical_time(protocol, data, k_resolution, gauge):
+def test_same_unwrap_outcome_on_a_first_critical_time(protocol, data, k_resolution):
     roots = imbalance_roots(protocol)
     assume(roots.size > 0)
     k_star = data.draw(st.sampled_from(roots.tolist()))
     t0 = float(critical_times(protocol, k_star, 0)[0])
-    assert_same_outcome(protocol, t0, k_resolution, gauge)
+    assert_same_outcome(protocol, t0, k_resolution)
 
 
 @pytest.mark.parametrize(
@@ -168,16 +167,16 @@ def test_a_jump_equal_to_the_limit_is_refined(monkeypatch, protocol, t, kind):
     # set the limit to the largest jump of one kind on the base grid: that
     # gap sits exactly on the limit, and >= must refine it
     k = np.linspace(K_EPS, math.pi - K_EPS, 256)
-    wrapped, dynamical = old_phase_samples(protocol, t, k, 0.5)
+    wrapped, dynamical = old_phase_samples(protocol, t, k)
     d_tot = np.mod(np.diff(wrapped) + math.pi, math.tau) - math.pi
     d_dyn = np.diff(dynamical)
     jumps = {"total": d_tot, "dynamical": d_dyn, "geometric": d_tot - d_dyn}
     limit = float(np.max(np.abs(jumps[kind])))
     monkeypatch.setattr(observables, "_JUMP_LIMIT", limit)
     monkeypatch.setitem(globals(), "_JUMP_LIMIT", limit)
-    new = outcome(phase_profile, protocol, t, 256, 0.5)
+    new = outcome(phase_profile, protocol, t, 256)
     assert new[0] == "UnwrapError" or new[1].refinements > 0
-    assert_same_outcome(protocol, t, 256, 0.5)
+    assert_same_outcome(protocol, t, 256)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.4])
@@ -187,4 +186,4 @@ def test_a_mutated_profile_does_not_leak_into_the_next(t):
     assert first.refinements == 0  # the base grid itself is handed out
     first.k_samples[:] = 1.0
     first.total_phase[:] = 1.0
-    assert_same_outcome(protocol, t, 256, 0.0)
+    assert_same_outcome(protocol, t, 256)

@@ -82,7 +82,9 @@ def run(tmp_path, task, protocol, n_sites, steps):
 
 @pytest.mark.parametrize("task", sorted(ORACLES))
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-@pytest.mark.parametrize("n_sites, steps", [(2, 2), (8, 57), (64, 401), (200, 1301)])
+@pytest.mark.parametrize(
+    "n_sites, steps", [(2, 2), (8, 57), (64, 401), (200, 1301), (100_000, 3)]
+)
 def test_streamed_csv_equals_the_list_oracle(
     tmp_path, task, protocol, n_sites, steps, assert_same_csv
 ):

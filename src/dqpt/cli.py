@@ -40,6 +40,7 @@ from .observables import (
     RateSeries,
     UnwrapError,
     _base_grid,
+    _times_per_block,
     compute_rate_series,
     compute_rate_series_finite,
     detect_cusps,
@@ -212,8 +213,10 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"steps must be <= {_MAX_STEPS}, got {cfg.steps}")
     if not -math.inf < cfg.t_min < cfg.t_max < math.inf:
         raise ConfigError(f"need finite t_min < t_max, got [{cfg.t_min}, {cfg.t_max}]")
-    if not _MIN_TOL <= cfg.tol < math.inf:  # before rate refines every sample to its split cap
-        raise ConfigError(f"tol must be finite and >= {_MIN_TOL}, got {cfg.tol}")
+    if not 0.0 < cfg.tol < math.inf:
+        raise ConfigError(f"tol must be finite and positive, got {cfg.tol}")
+    if cfg.task in ("rate", "sweep") and cfg.tol < _MIN_TOL:  # the only tasks that read tol
+        raise ConfigError(f"tol must be >= {_MIN_TOL} for {cfg.task}, got {cfg.tol}")
     if cfg.k_resolution < 64:
         raise ConfigError(f"k_resolution must be >= 64, got {cfg.k_resolution}")
     if cfg.k_resolution > _MAX_K_RESOLUTION:  # before any task builds its momentum grid
@@ -420,16 +423,23 @@ def _task_echo_decomposition(cfg, warnings):
     coeffs = mode_coefficients(_protocol(cfg), momenta)
     times = _times(cfg)
     # the null-work probability cos^2 + sin^2 cos^2(2 dtheta) is the echo
-    # with the imbalance replaced by cos(2 dtheta)
+    # with the imbalance replaced by cos(2 dtheta); rows() holds no other mode array
+    eps, imbalance = coeffs.eps_post, coeffs.imbalance
     null_imbalance = np.cos(2.0 * coeffs.delta_theta)
+    # (time block x mode) echoes: per time, numpy's per-call cost sets the pace at few modes
+    block = _times_per_block(eps)
 
-    def rows():  # t and k are formatted once each; the two echoes of one time at a time
+    def rows():  # t and k are formatted once each; three buffers serve every block
         k_text = ["%.17g" % k for k in momenta.tolist()]
-        for t in times.tolist():
-            echo = mode_echo(coeffs.imbalance, coeffs.eps_post, t)
-            null = mode_echo(null_imbalance, coeffs.eps_post, t)
-            columns = (echo.tolist(), null.tolist(), (echo - null).tolist())
-            yield from zip(itertools.repeat("%.17g" % t), k_text, *columns)
+        echo_out, null_out, work = (np.empty((min(block, times.size), eps.size)) for _ in range(3))
+        for lo in range(0, times.size, block):
+            tb = times[lo : lo + block]
+            n = tb.size
+            echo = mode_echo(imbalance, eps, tb[:, None], echo_out[:n], work[:n])
+            null = mode_echo(null_imbalance, eps, tb[:, None], null_out[:n], work[:n])
+            for t, echo_t, null_t in zip(tb.tolist(), echo, null):
+                columns = (echo_t.tolist(), null_t.tolist(), (echo_t - null_t).tolist())
+                yield from zip(itertools.repeat("%.17g" % t), k_text, *columns)
 
     return None, rows(), [("echo.rows", times.size * momenta.size)], False
 

@@ -79,6 +79,11 @@ _BLOCK_BYTES = 1 << 18  # size of one (time block x echo data) buffer
 _ROUND_BLOCKS = 8
 
 
+def _times_per_block(eps_post) -> int:
+    """Times in one (time block x mode) block of about _BLOCK_BYTES of echoes."""
+    return max(1, _BLOCK_BYTES // eps_post.nbytes)
+
+
 def _cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -114,7 +119,7 @@ def _echo_blocks(fn, eps_post, times, imbalance, diagnostics=None):
         return out
 
     eps, imbalance = aligned(eps_post), aligned(imbalance)
-    block = max(1, _BLOCK_BYTES // eps.nbytes)
+    block = _times_per_block(eps)
     starts = range(0, times.size, block)
     threads = min(_cpus(), _ROUND_BLOCKS, len(starts))
     if diagnostics is not None:
@@ -130,8 +135,7 @@ def _echo_blocks(fn, eps_post, times, imbalance, diagnostics=None):
         return fn(lo, tb, mode_echo(imbalance, eps, t, out[:n], work[:n]))
 
     def rounds():
-        pool = ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else nullcontext()
-        with pool:
+        with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
             for first in range(0, len(starts), _ROUND_BLOCKS):
                 round_ = starts[first : first + _ROUND_BLOCKS]
                 # slot s takes every threads-th block of the round from the s-th; the
@@ -483,11 +487,7 @@ def _nearest_critical_time(protocol, t):
     return min(rungs, key=lambda ts: abs(ts - t), default=None)
 
 
-def phase_profile(
-    protocol: QuenchProtocol,
-    t,
-    k_resolution: int = 256,
-) -> PhaseProfile:
+def phase_profile(protocol: QuenchProtocol, t, k_resolution: int = 256) -> PhaseProfile:
     """Unwrapped phase profile at time t.
 
     The momentum grid starts uniform on (0, pi) and is refined by midpoint

@@ -688,15 +688,28 @@ def test_the_k_resolution_cap_is_inclusive(tmp_path, capsys, monkeypatch, task):
     assert_exit_2_writes_nothing(tmp_path, capsys, argv)
 
 
+@pytest.mark.parametrize("task", ["rate", "sweep"])
 @pytest.mark.parametrize("tol", ["1e-16", "1e-300"])
-def test_tol_below_the_float64_floor_exits_2_before_any_rate(tmp_path, capsys, monkeypatch, tol):
+def test_tol_below_the_float64_floor_exits_2_before_any_rate(
+    tmp_path, capsys, monkeypatch, task, tol
+):
     def no_rate(*args, **kwargs):
         raise AssertionError("a rate series was computed")
 
     monkeypatch.setattr("dqpt.cli.compute_rate_series", no_rate)
-    assert main(["rate", "--tol", tol, "--out", str(tmp_path / "x.csv")]) == 2
-    assert capsys.readouterr().err == f"dqpt: tol must be finite and >= 1e-15, got {float(tol)}\n"
+    assert main([task, "--tol", tol, "--out", str(tmp_path / "x")]) == 2
+    expected = f"dqpt: tol must be >= 1e-15 for {task}, got {float(tol)}\n"
+    assert capsys.readouterr().err == expected
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "task",
+    ["rate-finite", "zeros", "critical-modes", "winding", "echo-decomposition", "variant-report"],
+)
+def test_tasks_that_read_no_tol_take_one_below_the_floor(tmp_path, task):
+    argv = [task, "--steps", "5", "--n-sites", "20", "--tol", "1e-300"]
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 0
 
 
 def test_the_tol_floor_is_inclusive(tmp_path, capsys, monkeypatch):

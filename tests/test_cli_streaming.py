@@ -107,7 +107,7 @@ def test_write_csv_counts_the_rows_it_writes(tmp_path):
 def test_echo_decomposition_memory_does_not_grow_with_its_output(tmp_path, monkeypatch):
     # defaults: 1000 sites x 401 steps, 200,500 rows (a 19.7 MB CSV); the
     # list-building handler peaked about 63 MB above its start here.  It
-    # computes one time's echoes at a time on the calling thread, so the
+    # computes one block of times at a time on the calling thread, so the
     # bound holds on any host
     bound_mb = 8.0
     for cpus in (1, 2, 64):
@@ -147,7 +147,7 @@ def test_out_of_memory_mid_write_leaves_no_csv_and_no_temporary(tmp_path, capsys
     calls = []
 
     def echo_then_out_of_memory(*args):
-        # two calls per time (echo, null work): fail at the third time
+        # two calls per time block (echo, null work): fail in the third block
         calls.append(1)
         if len(calls) > 4:
             assert (tmp_path / "e.csv.tmp").stat().st_size > 0
@@ -156,8 +156,8 @@ def test_out_of_memory_mid_write_leaves_no_csv_and_no_temporary(tmp_path, capsys
 
     monkeypatch.setattr(cli, "mode_echo", echo_then_out_of_memory)
     argv = ["echo-decomposition", "--out", str(tmp_path / "e.csv")]
-    for cpus in (1, 2, 64):  # its echoes stay on the calling thread
+    for cpus in (1, 2, 64):  # its blocks stay on the calling thread
         monkeypatch.setattr(observables, "_cpus", lambda: cpus)
         calls.clear()
         assert_clean_exit_2(tmp_path, capsys, argv)
-        assert len(calls) == 5  # rows of two times went to the temporary first
+        assert len(calls) == 5  # rows of two blocks went to the temporary first

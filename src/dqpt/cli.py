@@ -353,8 +353,9 @@ def _task_rate(cfg, warnings):
         warnings.append(f"{singular} rate samples singular or above tolerance")
     columns = (series.times, series.values, series.estimated_error, bad)
     diag = [("blocks.threads", diag_in.pop("block_threads"))]
+    refine_s = diag_in.pop("refine_seconds")
     diag += [("rate." + key, value) for key, value in diag_in.items()]
-    diag.append(("rate.singular_rows", singular))
+    diag += [("rate.singular_rows", singular), ("timing.refine_s", refine_s)]
     return series, zip(*(c.tolist() for c in columns)), diag, singular > 0
 
 
@@ -504,36 +505,44 @@ def _cell_name(beta, phi, lambda_post) -> str:
 
 
 def _sweep_cell(payload):
-    """Run the critical-modes and rate tasks in one cell; (index row, degraded)."""
+    """Run the critical-modes and rate tasks in one cell; (index row, degraded,
+    seconds), the seconds taken in the process that ran the cell."""
     cfg, cell_dir = payload
     started = time.perf_counter()
     os.makedirs(cell_dir, exist_ok=True)
     warnings: list = []
     in_cell = functools.partial(os.path.join, cell_dir)
+    laps = [time.perf_counter()]  # before the stages, then after each
     cs, _, entries, _ = _write_task("critical-modes", cfg, in_cell("critical_modes.csv"), warnings)
+    laps.append(time.perf_counter())
     series, _, rate_diag, degraded = _write_task("rate", cfg, in_cell("rate.csv"), warnings)
-
+    laps.append(time.perf_counter())
     cusps = detect_cusps(series)
+    laps.append(time.perf_counter())
+
     first_time = min((float(ladder[0]) for ladder in cs.times), default=math.nan)
     entries += [*rate_diag, ("cusps.count", len(cusps))]
     entries += [(f"cusps.{i}", c) for i, c in enumerate(cusps)]
+    stages = ("critical_modes", "rate", "cusps")
+    entries += [(f"timing.{s}_s", b - a) for s, a, b in zip(stages, laps, laps[1:])]
     _write_manifest(in_cell("cell.manifest"), cfg, started, entries, warnings)
 
     name = os.path.basename(cell_dir)
     row = (name, cfg.beta, cfg.phi, cfg.lambda_post, len(cs.modes), first_time, len(cusps))
-    return row, degraded
+    return row, degraded, time.perf_counter() - started
 
 
 def _cell_outcome(cell_dir, result):
-    """result() as (index row, degraded, None), or as (None, False, "<cell name>:
-    <error>" on one line) if it raised, BrokenProcessPool too; MemoryError propagates."""
+    """result() as (index row, degraded, seconds, None), or as (None, False, None,
+    "<cell name>: <error>" on one line) if it raised, BrokenProcessPool too;
+    MemoryError propagates."""
     try:
         return (*result(), None)
     except MemoryError:  # the whole sweep stops with exit 2, as any task would
         raise
     except Exception as exc:
         error = " ".join(f"{type(exc).__name__}: {exc}".split())
-        return None, False, f"{os.path.basename(cell_dir)}: {error}"
+        return None, False, None, f"{os.path.basename(cell_dir)}: {error}"
 
 
 def _pooled_outcomes(payloads, workers):
@@ -615,17 +624,21 @@ def _run_sweep(cfg: RunConfig) -> int:
         results = [_cell_outcome(p[1], functools.partial(_sweep_cell, p)) for p in payloads]
 
     # the index is written only once every cell has finished; a failed cell has no row
-    rows = [row for row, _, error in results if error is None]
+    rows = [row for row, _, _, error in results if error is None]
     _write_csv(os.path.join(out_dir, "index.csv"), *_INDEX, rows)
-    degraded = sum(bad for _, bad, _ in results)
-    # cell names hold '=', so the key is the cell's position and the value names it
-    errors = [(i, error) for i, (_, _, error) in enumerate(results) if error]
+    degraded = sum(bad for _, bad, _, _ in results)
+    errors = [(i, error) for i, (*_, error) in enumerate(results) if error]
     # a dead worker makes the pool kill the rest, maybe mid-write; only failed cells hold a .tmp
     for i, _ in errors:
         for tmp in glob.glob(os.path.join(glob.escape(payloads[i][1]), "*.tmp")):
             os.remove(tmp)
     entries = [("cells", len(cells)), ("degraded_cells", degraded), ("failed_cells", len(errors))]
-    entries += [(f"cell_error.{i}", error) for i, error in errors]
+    # cell names hold '=', so the key is the cell's position and a failure's value names it
+    for i, (_, bad, seconds, error) in enumerate(results):
+        if error:
+            entries.append((f"cell_error.{i}", error))
+        else:
+            entries += [(f"cell_seconds.{i}", seconds), (f"cell_degraded.{i}", bad)]
     _write_manifest(os.path.join(out_dir, "sweep.manifest"), cfg, started, entries)
 
     for _, error in errors:

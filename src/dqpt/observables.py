@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from contextvars import copy_context
@@ -73,7 +74,11 @@ class RateSeries:
         object.__setattr__(self, "estimated_error", err)
 
 
-_BLOCK_BYTES = 1 << 18  # size of one (time block x echo data) buffer
+# size of one (time block x echo data) buffer.  A block pays numpy's fixed
+# per-call cost whatever its size, so blocks are as large as the rule allows: a
+# block thread's two buffers (echo and work) plus the shared eps' and A copies
+# fit in a 2 MB per-core L2 (1 MB + 0.8 MB at N = 1e5)
+_BLOCK_BYTES = 1 << 19
 # blocks between two barriers, whatever the CPU count: a round's results are
 # all held at once, and it runs on at most this many threads
 _ROUND_BLOCKS = 8
@@ -296,7 +301,7 @@ def compute_rate_series(
     pass of shape (time x panel x node), on the time blocks of _echo_blocks.
     Each panel carries a 15-point and a 7-point Gauss-Legendre rule, and
     their difference is its error bound.  Samples whose summed bound
-    exceeds tol are held and refined (_refine) once they fill about one
+    exceeds tol are held and refined (_refine) once they fill about half a
     _BLOCK_BYTES, and at the end of the grid.
 
     The two rules are deliberately not nested.  In the Gauss-Kronrod 7/15
@@ -309,9 +314,10 @@ def compute_rate_series(
     diagnostics, if given, receives the integrand evaluations
     (nodes_evaluated), the refinement splits (extra_panels), the samples
     whose bound exceeds tol (unconverged_samples), the most splits on one
-    sample (max_splits), and the largest error bound (max_err_bound, a NaN
-    bound counting as the largest) with its time (max_err_bound_t), and
-    the number of block threads (block_threads).
+    sample (max_splits), the largest error bound (max_err_bound, a NaN
+    bound counting as the largest) with its time (max_err_bound_t), the
+    number of block threads (block_threads) and the perf_counter seconds
+    spent in _refine (refine_seconds).
 
     The bulk pass runs on the block threads; the held samples and their
     refinement stay on the calling thread, between rounds of blocks.
@@ -326,8 +332,8 @@ def compute_rate_series(
     values, errors = np.empty(times.size), np.empty(times.size)
     splits = np.zeros(times.size, dtype=np.int64)
     # held samples (an i15 and an err row each, then four panel rows in
-    # refinement) are refined once they fill about one _BLOCK_BYTES, and at the end
-    flush = max(1, _BLOCK_BYTES // (4 * half.nbytes))
+    # refinement) are refined once they fill about half a _BLOCK_BYTES, and at the end
+    flush = max(1, _BLOCK_BYTES // (8 * half.nbytes))
 
     def bulk(lo, tb, echo):  # on a block thread: values, errors and the held rows
         i15, err = _panel_sums(half, _log_echo_values(echo))
@@ -337,15 +343,20 @@ def compute_rate_series(
         over = np.nonzero(total > tol)[0]  # fancy indexing copies the rows
         return lo + over, tb[over], i15[over], err[over], total[over]
 
-    held, n_held = [], 0
+    def refine():  # on the calling thread: empties held, returns its seconds
+        started = time.perf_counter()
+        _refine(protocol, tol, lefts, widths, held, values, errors, splits)
+        return time.perf_counter() - started
+
+    held, n_held, refine_seconds = [], 0, 0.0
     for rows in _echo_blocks(bulk, eps, times, imb, diagnostics=diagnostics):
         held.append(rows)
         n_held += rows[0].size
         if n_held >= flush:
-            _refine(protocol, tol, lefts, widths, held, values, errors, splits)  # empties held
+            refine_seconds += refine()
             n_held = 0
     if held:
-        _refine(protocol, tol, lefts, widths, held, values, errors, splits)
+        refine_seconds += refine()
     if diagnostics is not None:
         worst = int(np.argmax(errors)) if errors.size else None  # argmax finds a NaN first
         extra = int(splits.sum())
@@ -356,6 +367,7 @@ def compute_rate_series(
         diagnostics["max_splits"] = int(splits.max(initial=0))
         diagnostics["max_err_bound"] = math.nan if worst is None else float(errors[worst])
         diagnostics["max_err_bound_t"] = math.nan if worst is None else float(times[worst])
+        diagnostics["refine_seconds"] = refine_seconds
     return RateSeries(
         times=times,
         values=values,

@@ -482,6 +482,51 @@ def test_rate_and_cell_manifests_report_max_splits_and_the_worst_bound(tmp_path)
     assert int(manifest["rate.nodes_evaluated"]) == nodes
 
 
+def read_manifest(path):
+    return dict(RunManifest.from_text(path.read_text()).entries)
+
+
+def untimed(manifest):
+    """The manifest without the keys that may differ between identical runs."""
+    timed = ("duration_seconds", "timing.", "cell_seconds.")
+    return {k: v for k, v in manifest.items() if not k.startswith(timed)}
+
+
+def test_rate_and_cell_manifests_time_their_stages(tmp_path):
+    # samples next to a rung, so refinement runs
+    window = ["--t-min", "5.4", "--t-max", "5.6", "--steps", "21"]
+    protocol = ["--lambda-pre", "0.5", "--lambda-post", "2", "--beta", "1", "--phi", "-pi/2"]
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(
+        "lambda_pre = 0.5\nlambda_post_list = 2\nbeta_list = 1\nphi_list = -pi/2\n",
+        encoding="utf-8",
+    )
+    out, sweep = tmp_path / "rate.csv", tmp_path / "sweep"
+    runs = []
+    for _ in range(2):  # the second run overwrites the first's files
+        assert main(["rate", *protocol, *window, "--out", str(out)]) == 0
+        assert main(["sweep", "--config", str(cfg), *window, "--out", str(sweep)]) == 0
+        (cell,) = [p for p in sweep.iterdir() if p.is_dir()]
+        rate = read_manifest(tmp_path / "rate.csv.manifest")
+        cell_manifest = read_manifest(cell / "cell.manifest")
+        csvs = [p.read_bytes() for p in (out, cell / "rate.csv", cell / "critical_modes.csv")]
+        runs.append((untimed(rate), untimed(cell_manifest), csvs))
+
+        assert [k for k in rate if k.startswith("timing.")] == ["timing.refine_s"]
+        assert int(rate["rate.extra_panels"]) > 0
+        refine_s, duration = float(rate["timing.refine_s"]), float(rate["duration_seconds"])
+        assert math.isfinite(refine_s) and 0.0 < refine_s <= duration
+
+        stages = ["timing.refine_s", "timing.critical_modes_s", "timing.rate_s", "timing.cusps_s"]
+        assert [k for k in cell_manifest if k.startswith("timing.")] == stages
+        seconds = {k: float(cell_manifest[k]) for k in (*stages, "duration_seconds")}
+        assert all(math.isfinite(s) and s >= 0.0 for s in seconds.values())
+        assert seconds["timing.refine_s"] <= seconds["timing.rate_s"] <= seconds["duration_seconds"]
+        assert sum(seconds[k] for k in stages[1:]) <= seconds["duration_seconds"]
+    # between runs only the timings move; every CSV byte stays
+    assert runs[0] == runs[1]
+
+
 def assert_exit_2_writes_nothing(tmp_path, capsys, argv):
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     assert main(argv) == 2
@@ -959,3 +1004,50 @@ def test_a_pooled_sweep_removes_temporaries_only_in_its_failed_cells(
     assert manifest["cell_error.3"] == f"{_KILLED}: RuntimeError: killed"
     assert capsys.readouterr().err == f"dqpt: sweep: failed cell {_KILLED}: RuntimeError: killed\n"
     assert sorted(out.rglob("*.tmp")) == sorted(keep)
+
+
+@pytest.mark.parametrize(
+    "jobs",
+    [
+        "1",
+        pytest.param(
+            "2",
+            marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork",
+                reason="the workers must inherit the patched split cap",
+            ),
+        ),
+    ],
+)
+def test_the_sweep_manifest_records_each_cells_seconds_and_degraded_flag(
+    tmp_path, monkeypatch, jobs
+):
+    import dqpt.observables
+
+    # no refinement: the two cells with samples above tol are degraded
+    monkeypatch.setattr(dqpt.observables, "_MAX_SPLITS", 0)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(_DEAD_WORKER_CFG, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--jobs", jobs, "--out", str(out)]) == 3
+    manifest = read_manifest(out / "sweep.manifest")
+    sweep_seconds = float(manifest["duration_seconds"])
+    # the sweep's cell order: beta 10 before 0.1, lambda_post 0.5 before 2
+    names = [
+        f"beta={b}_phi=-1.570796_lambda_post={lp}"
+        for b in ("10.000000", "0.100000")
+        for lp in ("0.500000", "2.000000")
+    ]
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == sorted(names)
+    flags = []
+    for i, name in enumerate(names):
+        cell = read_manifest(out / name / "cell.manifest")
+        degraded = any("rate samples" in v for k, v in cell.items() if k.startswith("warning."))
+        assert manifest[f"cell_degraded.{i}"] == ("1" if degraded else "0")
+        flags.append(degraded)
+        # taken in the worker, after the cell's own manifest was written
+        seconds = float(manifest[f"cell_seconds.{i}"])
+        assert float(cell["duration_seconds"]) <= seconds <= sweep_seconds
+    assert flags == [False, True, True, False]
+    assert manifest["degraded_cells"] == "2"
+    assert not [k for k in manifest if k.startswith("cell_error.")]

@@ -254,7 +254,7 @@ def test_held_rate_rows_stay_bounded_whatever_the_cpus(monkeypatch):
     protocol = QuenchProtocol(0.5, 2.0, 1.0, -math.pi / 2)
     times = np.linspace(0.1, 6.0, 400)
     node_bytes = 8 * _base_panels(protocol)[0].size * len(_NODES_X)  # a time's echo data
-    block, flush = 2, (2 * len(_NODES_X)) // 4
+    block, flush = 2, (2 * len(_NODES_X)) // 8  # _BLOCK_BYTES // (8 * half.nbytes)
     real_blocks = observables._echo_blocks
     lock = threading.Lock()
     rows = {"computed": 0, "refined": 0}

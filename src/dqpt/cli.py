@@ -69,6 +69,7 @@ _MAX_SITES = 10**7  # chain length: 40 MB per mode array
 _MAX_K_RESOLUTION = 10**7  # zeros and winding base grid: 80 MB per array
 _MAX_ECHO_ROWS = 10**8  # echo-decomposition rows, steps x n_sites/2: about 7 GB of CSV
 _MAX_CELLS = 10**4  # sweep cells
+_MAX_JOBS = 64  # sweep worker processes: a pool forks all of them at its first submit
 _PI_RE = re.compile(
     r"^\s*([+-]?)\s*(?:(\d+(?:\.\d*)?|\.\d+)\s*\*?\s*)?pi\s*(?:/\s*(\d+(?:\.\d*)?|\.\d+))?\s*$",
     re.IGNORECASE,
@@ -236,6 +237,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"n_max must be <= {_MAX_STEPS}, got {cfg.n_max}")
     if cfg.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
+    if cfg.jobs > _MAX_JOBS:  # before a sweep forks its pool
+        raise ConfigError(f"jobs must be <= {_MAX_JOBS}, got {cfg.jobs}")
     if not cfg.branches:
         raise ConfigError("need at least one branch")
     try:
@@ -392,7 +395,7 @@ def _task_critical_modes(cfg, warnings):
     cs = critical_modes(_protocol(cfg), cfg.variant, cfg.n_max, with_jump_signs=True)
     firsts = [float(ladder[0]) for ladder in cs.times]
     columns = (cs.modes.tolist(), cs.residuals.tolist(), firsts, cs.jump_signs)
-    rows = list(zip(itertools.repeat(cs.condition_variant), *columns))
+    rows = list(zip(itertools.repeat(cfg.variant), *columns))
     diag = [("critical_modes.count", len(cs.modes))]
     diag += [(f"critical_modes.residual.{i}", r) for i, r in enumerate(cs.residuals)]
     return cs, rows, diag, False

@@ -58,7 +58,6 @@ class CriticalSet:
     times: list
     jump_signs: list
     residuals: np.ndarray
-    condition_variant: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +198,6 @@ def critical_modes(
         times=[critical_times(protocol, r, n_max) for r in roots],
         jump_signs=signs,
         residuals=residuals,
-        condition_variant=variant,
     )
 
 

@@ -47,7 +47,6 @@ class ModeCoefficients:
     -imbalance.
     """
 
-    k: float | np.ndarray
     eps_pre: float | np.ndarray
     eps_post: float | np.ndarray
     delta_theta: float | np.ndarray
@@ -95,8 +94,8 @@ def mode_coefficients(protocol: QuenchProtocol, k) -> ModeCoefficients:
 
     fields = (eps_pre, eps_post, dth, imbalance, w_plus, w_minus)  # in ModeCoefficients order
     if np.ndim(k) == 0:
-        return ModeCoefficients(float(k), *map(float, fields))
-    return ModeCoefficients(np.asarray(k, dtype=float), *fields)
+        return ModeCoefficients(*map(float, fields))
+    return ModeCoefficients(*fields)
 
 
 def mode_amplitude(coeffs: ModeCoefficients, t):

@@ -81,7 +81,6 @@ class QuenchProtocol:
 class ModeGrid:
     """Antiperiodic momentum grid: k = (2n-1)pi/N for n = 1..N/2."""
 
-    n_sites: int
     momenta: np.ndarray
 
 
@@ -97,7 +96,7 @@ def mode_grid(n_sites) -> ModeGrid:
     if n < 2 or n % 2:
         raise ValueError(f"n_sites must be even and >= 2, got {n}")
     momenta = (2.0 * np.arange(1, n // 2 + 1) - 1.0) * (math.pi / n)
-    return ModeGrid(n_sites=n, momenta=momenta)
+    return ModeGrid(momenta=momenta)
 
 
 def dispersion(k, lam, coupling: float = 1.0):

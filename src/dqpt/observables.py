@@ -464,7 +464,6 @@ class PhaseProfile:
     total_phase: np.ndarray
     dynamical_phase: np.ndarray
     geometric_phase: np.ndarray
-    time: float
     refinements: int
 
     @property
@@ -547,7 +546,6 @@ def phase_profile(protocol: QuenchProtocol, t, k_resolution: int = 256) -> Phase
         total_phase=total,
         dynamical_phase=dynamical,
         geometric_phase=geometric,
-        time=t,
         refinements=added,
     )
 
@@ -560,23 +558,21 @@ def winding_number(protocol: QuenchProtocol, t, k_resolution: int = 256) -> floa
 # ---------------------------------------------------------------------------
 # cusp detection
 
-def detect_cusps(
-    series: RateSeries,
-    ratio: float = 50.0,
-    window: int = 5,
-    guard: int = 2,
-):
+_CUSP_RATIO = 50.0  # a spike fires above this multiple of its background
+_CUSP_WINDOW = 5  # the background: median |second difference| of this many samples per side
+_CUSP_GUARD = 2  # samples per side next to a spike left out of its background
+
+
+def detect_cusps(series: RateSeries):
     """Times where the series has a second-difference spike.
 
     A kink contributes a second difference of order h, smooth curvature of
     order h^2, so the spike-to-background ratio grows as the sampling is
-    refined; `ratio` is the firing threshold against the median of the
-    `window` neighbours per side outside a `guard` band.  Non-finite
+    refined; _CUSP_RATIO is the firing threshold against the median of the
+    _CUSP_WINDOW neighbours per side outside a _CUSP_GUARD band.  Non-finite
     samples are reported as cusps outright.  Returns an ascending list of
     times, one per spike cluster.
     """
-    if ratio <= 0.0 or window < 1 or guard < 0:
-        raise ValueError("need ratio > 0, window >= 1, guard >= 0")
     t = series.times
     r = series.values
     n = t.size
@@ -597,13 +593,12 @@ def detect_cusps(
     scale = float(np.max(np.abs(r[finite]), initial=0.0))
     floor = 1e-13 * max(1.0, scale)
 
-    candidates = centers[abs_d2[centers] > ratio * floor]
-    # the `window` neighbours per side outside the guard band, one row per
+    candidates = centers[abs_d2[centers] > _CUSP_RATIO * floor]
+    # the _CUSP_WINDOW neighbours per side outside the guard band, one row per
     # candidate; off-series and non-finite entries pad as +inf so they sort
     # past every finite one
-    offsets = np.concatenate(
-        [np.arange(-guard - window, -guard), np.arange(guard + 1, guard + window + 1)]
-    )
+    side = np.arange(_CUSP_GUARD + 1, _CUSP_GUARD + _CUSP_WINDOW + 1)
+    offsets = np.concatenate([-side, side])
     idx = candidates[:, None] + offsets
     nbhd = abs_d2[np.clip(idx, 0, n - 1)]
     nbhd[(idx < 0) | (idx >= n) | ~np.isfinite(nbhd)] = math.inf
@@ -615,7 +610,7 @@ def detect_cusps(
     with np.errstate(over="ignore"):  # huge samples overflow to inf, as before
         # median of the finite entries, as np.median takes it; 0 when none
         background = np.where(count > 0, np.where(count % 2, lo, (lo + hi) / 2.0), 0.0)
-        fired = candidates[abs_d2[candidates] > ratio * np.maximum(background, floor)]
+        fired = candidates[abs_d2[candidates] > _CUSP_RATIO * np.maximum(background, floor)]
 
     marked = sorted(set(fired.tolist()) | set(np.nonzero(~finite)[0].tolist()))
     if not marked:

@@ -19,6 +19,7 @@ import importlib.util
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -81,12 +82,11 @@ def run_all(runs, out_dir) -> tuple:
 
 
 def main():
-    import tempfile
-
-    runs = default_runs()
     if os.path.exists(DIGESTS):
         with open(DIGESTS, encoding="utf-8") as fh:
             runs = [run["command"] for run in json.load(fh)["runs"]]
+    else:
+        runs = default_runs()
     with tempfile.TemporaryDirectory() as out_dir:
         codes, digests = run_all(runs, out_dir)
     record = {

@@ -424,6 +424,37 @@ def test_a_serial_sweep_builds_no_pool(tmp_path, monkeypatch):
     assert len(rows) == 2
 
 
+class _NoPool:
+    """ProcessPoolExecutor stand-in that fails the test if it is built."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+
+def test_jobs_above_the_cap_exit_2_before_any_pool(tmp_path, capsys, monkeypatch):
+    import dqpt.cli
+
+    monkeypatch.setattr(dqpt.cli, "_MAX_JOBS", 2)
+    monkeypatch.setattr(dqpt.cli, "ProcessPoolExecutor", _NoPool)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("beta_list = 10, 1, 0.1\nsteps = 11\n", encoding="utf-8")
+    out = tmp_path / "capped"
+    assert main(["sweep", "--config", str(cfg), "--jobs", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "dqpt: jobs must be <= 2, got 3\n"
+    assert not out.exists()
+
+
+def test_jobs_at_the_cap_are_accepted(tmp_path, monkeypatch):
+    import dqpt.cli
+
+    monkeypatch.setattr(dqpt.cli, "_MAX_JOBS", 2)
+    monkeypatch.setattr(dqpt.cli, "ProcessPoolExecutor", _NoPool)
+    out = tmp_path / "one_cell"  # one cell: the sweep runs it without a pool
+    assert main(["sweep", "--beta", "0.1", "--steps", "11", "--jobs", "2", "--out", str(out)]) == 0
+    _, rows = read_rows(out / "index.csv")
+    assert len(rows) == 1
+
+
 def test_sweep_with_an_invalid_cell_exits_2_and_writes_nothing(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("beta_list = 1, -1\nsteps = 11\n", encoding="utf-8")

@@ -57,7 +57,7 @@ def old_rate_rows(protocol, cfg):
 def old_critical_rows(protocol, cfg):
     cs = critical_modes(protocol, cfg.variant, cfg.n_max, with_jump_signs=True)
     rows = [
-        (cs.condition_variant, old_fmt(k), old_fmt(res), old_fmt(ladder[0]), old_fmt(int(sign)))
+        (cfg.variant, old_fmt(k), old_fmt(res), old_fmt(ladder[0]), old_fmt(int(sign)))
         for k, res, ladder, sign in zip(cs.modes, cs.residuals, cs.times, cs.jump_signs)
     ]
     return cs, ("variant", "k_star", "residual", "t_star_0", "jump_sign"), rows

@@ -245,7 +245,7 @@ class TestFisherZeroLine:
                 assert np.array_equal(a.view(np.int64), b.view(np.int64))
             # the line carries the coefficients of its kept momenta
             kept = mode_coefficients(p, own.momenta)
-            for name in ("k", "eps_post", "imbalance", "weight_plus", "weight_minus"):
+            for name in ("eps_post", "imbalance", "weight_plus", "weight_minus"):
                 a, b = getattr(shared.coefficients, name), getattr(kept, name)
                 assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
 

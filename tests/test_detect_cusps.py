@@ -1,13 +1,16 @@
-"""detect_cusps against the per-candidate loop it replaced."""
+"""detect_cusps against the per-candidate loop it replaced, with its three
+thresholds (observables._CUSP_RATIO, _CUSP_WINDOW and _CUSP_GUARD) patched
+over the ranges the loop takes as arguments."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqpt import QuenchProtocol, RateSeries, detect_cusps
+from dqpt import QuenchProtocol, RateSeries, detect_cusps, observables
 
 PROTOCOL = QuenchProtocol(0.5, 2.0, 10.0)
 
@@ -55,6 +58,13 @@ def loop_detect_cusps(series, ratio=50.0, window=5, guard=2):
     return [float(t[max(g, key=lambda j: (score[j], -j))]) for g in cusps]
 
 
+def detect_with(series, ratio, window, guard):
+    """detect_cusps with its thresholds patched for the one call."""
+    thresholds = {"_CUSP_RATIO": ratio, "_CUSP_WINDOW": window, "_CUSP_GUARD": guard}
+    with mock.patch.multiple(observables, **thresholds):
+        return detect_cusps(series)
+
+
 _sample = st.one_of(
     st.floats(-10.0, 10.0),
     st.sampled_from([0.0, 1.0, 1e300, -1e300, math.inf, -math.inf, math.nan]),
@@ -75,7 +85,7 @@ def test_matches_loop_detector(values, ratio, window, guard):
     r = np.asarray(values, dtype=float)
     series = RateSeries(np.linspace(0.0, 1.0, r.size), r, PROTOCOL)
     expected = loop_detect_cusps(series, ratio, window, guard)
-    assert detect_cusps(series, ratio, window, guard) == expected
+    assert detect_with(series, ratio, window, guard) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -94,6 +104,6 @@ def test_matches_loop_detector_on_kinked_curves(kinks, slopes, noise, window, gu
         r = r + s * np.maximum(t - t[i], 0.0)
     r = r + noise * np.cos(37.0 * t)
     series = RateSeries(t, r, PROTOCOL)
-    assert detect_cusps(series, 50.0, window, guard) == loop_detect_cusps(
+    assert detect_with(series, 50.0, window, guard) == loop_detect_cusps(
         series, 50.0, window, guard
     )

@@ -319,7 +319,7 @@ def test_manifests_record_the_block_threads_and_the_csvs_do_not(tmp_path, monkey
         out = tmp_path / f"{threads}.csv"
         assert main([task, *argv, "--out", str(out)]) == 0
         manifest = read_manifest(tmp_path / f"{threads}.csv.manifest")
-        if task == "echo-decomposition":  # one time at a time, no blocks
+        if task == "echo-decomposition":  # its blocks run on the calling thread
             assert "blocks.threads" not in manifest
         else:
             assert manifest["blocks.threads"] == str(threads)

@@ -25,7 +25,6 @@ from dqpt import (
 )
 
 FIELDS = (
-    "k",
     "eps_pre",
     "eps_post",
     "delta_theta",
@@ -85,7 +84,6 @@ def old_mode_coefficients(protocol, k):
 
     if np.ndim(k) == 0:
         return ModeCoefficients(
-            k=float(k),
             eps_pre=float(eps_pre),
             eps_post=float(eps_post),
             delta_theta=float(dth),
@@ -94,7 +92,6 @@ def old_mode_coefficients(protocol, k):
             weight_minus=float(w_minus),
         )
     return ModeCoefficients(
-        k=np.asarray(k, dtype=float),
         eps_pre=eps_pre,
         eps_post=eps_post,
         delta_theta=dth,

@@ -19,7 +19,6 @@ from dqpt import (
 class TestModeGrid:
     def test_two_sites(self):
         g = mode_grid(2)
-        assert g.n_sites == 2
         np.testing.assert_allclose(g.momenta, [math.pi / 2])
 
     def test_four_sites(self):

@@ -303,13 +303,3 @@ class TestDetectCusps:
         t = np.array([0.0, 0.1, 0.25, 0.3, 0.4, 0.5])
         with pytest.raises(ValueError):
             detect_cusps(self._series(t, np.zeros(6)))
-
-    def test_rejects_bad_parameters(self):
-        t = np.linspace(0.0, 1.0, 50)
-        s = self._series(t, np.zeros(50))
-        with pytest.raises(ValueError):
-            detect_cusps(s, ratio=0.0)
-        with pytest.raises(ValueError):
-            detect_cusps(s, window=0)
-        with pytest.raises(ValueError):
-            detect_cusps(s, guard=-1)

@@ -88,7 +88,6 @@ def old_phase_profile(
         total_phase=total,
         dynamical_phase=dynamical,
         geometric_phase=geometric,
-        time=t,
         refinements=added,
     )
 
@@ -115,7 +114,6 @@ def assert_same_outcome(*args):
         assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
         assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
     assert new.refinements == old.refinements
-    assert new.time == old.time
     assert new.winding == old.winding
 
 

@@ -5,8 +5,9 @@ tests/test_golden_digests.py checks every CLI output against.
 
 The runs are the four configs/fig*.cfg sweeps, perfbench's finite_grid jobs
 and the first 8 protocols x 4 tasks of its topology_scan jobs at seed 1,
-rate and rate-finite at their defaults, and echo-decomposition at
---n-sites 2 --steps 10000.  Their argument lists are written into the file,
+rate and rate-finite at their defaults, echo-decomposition at
+--n-sites 2 --steps 10000, and zeros and variant-report at the edges of the
+eigenbasis weights.  Their argument lists are written into the file,
 so that an edit to the benchmark's inputs cannot change what the gate runs;
 when the file exists, its runs are kept and only the digests, exit codes
 and platform fingerprint are rewritten.
@@ -60,7 +61,17 @@ def default_runs() -> list:
         "rate-finite --out {out}/rate-finite.csv",
         "echo-decomposition --n-sites 2 --steps 10000 --out {out}/echo.csv",
     ]
-    return figs + _benchmark_runs() + tasks
+    # the eigenbasis weights at their edges: every sample skipped (no quench),
+    # a ground state at phi = pi/2, and fig4's two roots in both variants
+    weights = [
+        "zeros --lambda-pre 1.3 --lambda-post 1.3 --beta inf --branch 0 --branch 1"
+        " --out {out}/zeros-no-quench.csv",
+        "zeros --lambda-pre 0.5 --lambda-post 2 --beta inf --phi 1.5707963267948966"
+        " --branch 0 --branch 1 --out {out}/zeros-ground-phi.csv",
+        "variant-report --lambda-pre 1.5 --lambda-post 2 --beta 0.1 --phi -1.5707963267948966"
+        " --out {out}/variant-report-fig4.csv",
+    ]
+    return figs + _benchmark_runs() + tasks + weights
 
 
 def run_all(runs, out_dir) -> tuple:

@@ -347,9 +347,11 @@ def _write_manifest(path: str, cfg: RunConfig, started: float, entries, warnings
 # iterator, hold the plain values the task's row template formats
 
 
-def _task_rate(cfg, warnings):
+def _task_rate(cfg, warnings, roots=None):
     diag_in: dict = {}
-    series = compute_rate_series(_protocol(cfg), _times(cfg), cfg.tol, diagnostics=diag_in)
+    series = compute_rate_series(
+        _protocol(cfg), _times(cfg), cfg.tol, diagnostics=diag_in, roots=roots
+    )
     bad = ~np.isfinite(series.values) | (series.estimated_error > cfg.tol)
     singular = int(bad.sum())
     if singular:
@@ -479,10 +481,11 @@ _TASKS = {
 TASKS = (*_TASKS, "sweep")
 
 
-def _write_task(task: str, cfg: RunConfig, path: str, warnings: list):
-    """Run one task and write its CSV: (result, rows written, diagnostics, degraded)."""
+def _write_task(task: str, cfg: RunConfig, path: str, warnings: list, **kwargs):
+    """Run one task, its handler given kwargs, and write its CSV: (result,
+    rows written, diagnostics, degraded)."""
     handler, header, template = _TASKS[task]
-    result, rows, diag, degraded = handler(cfg, warnings)
+    result, rows, diag, degraded = handler(cfg, warnings, **kwargs)
     return result, _write_csv(path, header, template, rows), diag, degraded
 
 
@@ -490,8 +493,15 @@ def _run_task(cfg: RunConfig) -> int:
     started = time.perf_counter()
     out_path = cfg.out or cfg.task + ".csv"
     warnings: list = []
-    _, count, diag, degraded = _write_task(cfg.task, cfg, out_path, warnings)
+    handler, header, template = _TASKS[cfg.task]
+    laps = [time.perf_counter()]  # before the handler, after it, after the CSV
+    _, rows, diag, degraded = handler(cfg, warnings)
+    laps.append(time.perf_counter())
+    count = _write_csv(out_path, header, template, rows)
+    laps.append(time.perf_counter())
     entries = [("output", out_path), ("rows", count), *diag]
+    # streamed rows (echo-decomposition's) are computed while the CSV is written
+    entries += [(f"timing.{s}_s", b - a) for s, a, b in zip(("task", "csv"), laps, laps[1:])]
     tail = [("degraded", degraded)]
     _write_manifest(out_path + ".manifest", cfg, started, entries, warnings, tail)
     if degraded:
@@ -518,7 +528,11 @@ def _sweep_cell(payload):
     laps = [time.perf_counter()]  # before the stages, then after each
     cs, _, entries, _ = _write_task("critical-modes", cfg, in_cell("critical_modes.csv"), warnings)
     laps.append(time.perf_counter())
-    series, _, rate_diag, degraded = _write_task("rate", cfg, in_cell("rate.csv"), warnings)
+    # the sinh modes are the imbalance roots the rate's panels split at
+    roots = cs.modes if cfg.variant == "sinh" else None
+    series, _, rate_diag, degraded = _write_task(
+        "rate", cfg, in_cell("rate.csv"), warnings, roots=roots
+    )
     laps.append(time.perf_counter())
     cusps = detect_cusps(series)
     laps.append(time.perf_counter())

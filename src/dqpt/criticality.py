@@ -16,6 +16,7 @@ with_jump_signs=False is kept for its callers and saves nothing.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -218,7 +219,10 @@ def fisher_zero_line(protocol: QuenchProtocol, branch_n: int, k_samples, coeffs=
     if coeffs is None:
         coeffs = mode_coefficients(protocol, k_samples)
     ok = (coeffs.weight_plus > 0.0) & (coeffs.weight_minus > 0.0)
-    kept = ModeCoefficients(*(field[ok] for field in vars(coeffs).values()))
+    kept = coeffs  # its weights are computed once, whatever the branches
+    if not ok.all():  # the kept samples of every array field; the weights follow on read
+        fields = [f.name for f in dataclasses.fields(coeffs) if f.name != "_beta_phi"]
+        kept = dataclasses.replace(coeffs, **{name: getattr(coeffs, name)[ok] for name in fields})
     eps = kept.eps_post
     re = (np.log(kept.weight_plus) - np.log(kept.weight_minus)) / (2.0 * eps)
     im = _ladder(branch_n, eps)
@@ -248,6 +252,9 @@ def variant_report(protocol: QuenchProtocol) -> VariantReport:
         for r in found[variant]:
             h = min(1e-6, 0.5 * r, 0.5 * (math.pi - r))
             confirmed = bool(np.count_nonzero(abs(found["sinh"] - r) < h) % 2)
-            residual_other = float(_variant_residual(protocol, r, other))
-            rows.append(VariantRow(variant, float(r), float(fn(r)), residual_other, confirmed))
+            at_root = mode_coefficients(protocol, r)  # both residuals of the row
+            residual, residual_other = (
+                float(_variant_residual(protocol, r, v, at_root)) for v in (variant, other)
+            )
+            rows.append(VariantRow(variant, float(r), residual, residual_other, confirmed))
     return VariantReport(rows=rows)

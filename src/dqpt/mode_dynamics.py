@@ -16,8 +16,9 @@ other.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,19 +45,50 @@ class ModeCoefficients:
     weight_plus and weight_minus are the populations of the upper and lower
     post-quench eigenstates; together with the imbalance they satisfy
     weight_plus + weight_minus = 1 and weight_plus - weight_minus =
-    -imbalance.
+    -imbalance.  They are read-only and computed on first read, from
+    eps_pre, delta_theta and the protocol's beta and phi (_beta_phi): of
+    the callers only the Fisher-zero line and boundary_partition read them.
     """
 
     eps_pre: float | np.ndarray
     eps_post: float | np.ndarray
     delta_theta: float | np.ndarray
     imbalance: float | np.ndarray
-    weight_plus: float | np.ndarray
-    weight_minus: float | np.ndarray
+    _beta_phi: tuple = field(repr=False)
+
+    @functools.cached_property
+    def _weights(self):
+        beta, phi = self._beta_phi
+        dth = np.asarray(self.delta_theta)
+        x = beta * np.asarray(self.eps_pre)
+        em = np.exp(-x)  # exp(-inf) == 0 exactly
+        em2 = em * em
+        denom = 1.0 + em2
+        # the imbalance's sin(phi) sin(2 dtheta), times e^{-x}
+        coh_em = math.sin(phi) * np.sin(2.0 * dth) * em
+        ch = np.cos(dth)
+        sh = np.sin(dth)
+        w_plus = (em2 * ch * ch + sh * sh - coh_em) / denom
+        w_minus = (em2 * sh * sh + ch * ch + coh_em) / denom
+        # exact values are squares, but roundoff can graze below zero at phi = +-pi/2
+        w_plus = np.maximum(w_plus, 0.0)
+        w_minus = np.maximum(w_minus, 0.0)
+        if np.ndim(self.eps_pre) == 0:
+            return float(w_plus), float(w_minus)
+        return w_plus, w_minus
+
+    @property
+    def weight_plus(self) -> float | np.ndarray:
+        return self._weights[0]
+
+    @property
+    def weight_minus(self) -> float | np.ndarray:
+        return self._weights[1]
 
 
 def mode_coefficients(protocol: QuenchProtocol, k) -> ModeCoefficients:
-    """Energies, angle difference, imbalance and eigenbasis weights at k.
+    """Energies, angle difference and imbalance at k; the eigenbasis weights
+    follow on first read (ModeCoefficients).
 
     The Boltzmann factors are normalized by the dominant one before any
     exponential is taken, so every beta up to and including math.inf stays
@@ -77,25 +109,14 @@ def mode_coefficients(protocol: QuenchProtocol, k) -> ModeCoefficients:
 
     x = protocol.beta * eps_pre
     em = np.exp(-x)  # exp(-inf) == 0 exactly
-    em2 = em * em
-    denom = 1.0 + em2
-    # sin(phi) sin(2 dtheta) and its product with e^{-x}, shared by three fields
     coh = math.sin(protocol.phi) * np.sin(2.0 * dth)
-    coh_em = coh * em
-    imbalance = np.cos(2.0 * dth) * np.tanh(x) + coh * (2.0 * em / denom)
+    imbalance = np.cos(2.0 * dth) * np.tanh(x) + coh * (2.0 * em / (1.0 + em * em))
 
-    ch = np.cos(dth)
-    sh = np.sin(dth)
-    w_plus = (em2 * ch * ch + sh * sh - coh_em) / denom
-    w_minus = (em2 * sh * sh + ch * ch + coh_em) / denom
-    # exact values are squares, but roundoff can graze below zero at phi = +-pi/2
-    w_plus = np.maximum(w_plus, 0.0)
-    w_minus = np.maximum(w_minus, 0.0)
-
-    fields = (eps_pre, eps_post, dth, imbalance, w_plus, w_minus)  # in ModeCoefficients order
+    fields = (eps_pre, eps_post, dth, imbalance)  # in ModeCoefficients order
+    beta_phi = (protocol.beta, protocol.phi)
     if np.ndim(k) == 0:
-        return ModeCoefficients(*map(float, fields))
-    return ModeCoefficients(*fields)
+        return ModeCoefficients(*map(float, fields), beta_phi)
+    return ModeCoefficients(*fields, beta_phi)
 
 
 def mode_amplitude(coeffs: ModeCoefficients, t):

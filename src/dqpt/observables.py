@@ -198,11 +198,12 @@ def _panel_sums(half, v):
     return i15, np.abs(i15 - i7)
 
 
-def _base_panels(protocol):
+def _base_panels(protocol, roots=None):
     """(lefts, widths) of the base panels: the zone split at the imbalance
-    roots, then into panels no wider than pi/64."""
+    roots (imbalance_roots(protocol) unless given), then into panels no
+    wider than pi/64."""
     edges = [0.0]
-    for r in imbalance_roots(protocol):
+    for r in imbalance_roots(protocol) if roots is None else roots:
         if edges[-1] < r < math.pi:
             edges.append(float(r))
     edges.append(math.pi)
@@ -293,6 +294,8 @@ def compute_rate_series(
     times,
     tol: float = 1e-8,
     diagnostics: dict | None = None,
+    *,
+    roots=None,
 ) -> RateSeries:
     """The thermodynamic-limit rate over a time grid, with its error bounds.
 
@@ -321,12 +324,15 @@ def compute_rate_series(
 
     The bulk pass runs on the block threads; the held samples and their
     refinement stay on the calling thread, between rounds of blocks.
+    roots, if given, must be imbalance_roots(protocol), such as the modes of
+    critical_modes(protocol) in the sinh variant: the panels are split there
+    without a second root scan.
     """
     times = _check_times(times)
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     tol = float(tol)
-    lefts, widths = _base_panels(protocol)
+    lefts, widths = _base_panels(protocol, roots)
     half = 0.5 * widths
     imb, eps = _node_data(protocol, lefts, widths)
     values, errors = np.empty(times.size), np.empty(times.size)

@@ -543,10 +543,11 @@ def test_rate_and_cell_manifests_time_their_stages(tmp_path):
         csvs = [p.read_bytes() for p in (out, cell / "rate.csv", cell / "critical_modes.csv")]
         runs.append((untimed(rate), untimed(cell_manifest), csvs))
 
-        assert [k for k in rate if k.startswith("timing.")] == ["timing.refine_s"]
+        timed = ["timing.refine_s", "timing.task_s", "timing.csv_s"]
+        assert [k for k in rate if k.startswith("timing.")] == timed
         assert int(rate["rate.extra_panels"]) > 0
         refine_s, duration = float(rate["timing.refine_s"]), float(rate["duration_seconds"])
-        assert math.isfinite(refine_s) and 0.0 < refine_s <= duration
+        assert math.isfinite(refine_s) and 0.0 < refine_s <= float(rate["timing.task_s"]) <= duration
 
         stages = ["timing.refine_s", "timing.critical_modes_s", "timing.rate_s", "timing.cusps_s"]
         assert [k for k in cell_manifest if k.startswith("timing.")] == stages
@@ -827,10 +828,10 @@ def test_a_failing_sweep_cell_is_recorded_and_the_others_finish(
 
     handler, header, template = dqpt.cli._TASKS["rate"]
 
-    def rate_or_fail(cell_cfg, warnings):  # the pool's forked workers inherit it
+    def rate_or_fail(cell_cfg, warnings, **kwargs):  # the pool's forked workers inherit it
         if cell_cfg.beta == 0.1:
             raise RuntimeError("no rate here\n(two lines)")
-        return handler(cell_cfg, warnings)
+        return handler(cell_cfg, warnings, **kwargs)
 
     monkeypatch.setitem(dqpt.cli._TASKS, "rate", (rate_or_fail, header, template))
     out = tmp_path / "faulty"
@@ -867,10 +868,10 @@ def test_a_sweep_cell_out_of_memory_stops_the_sweep_with_exit_2(
     cfg.write_text(TestSweepTask.CFG, encoding="utf-8")
     handler, header, template = dqpt.cli._TASKS["rate"]
 
-    def rate_or_out_of_memory(cell_cfg, warnings):  # the pool's forked workers inherit it
+    def rate_or_out_of_memory(cell_cfg, warnings, **kwargs):  # the pool's forked workers inherit it
         if cell_cfg.beta == 0.1:
             raise MemoryError
-        return handler(cell_cfg, warnings)
+        return handler(cell_cfg, warnings, **kwargs)
 
     monkeypatch.setitem(dqpt.cli._TASKS, "rate", (rate_or_out_of_memory, header, template))
     out = tmp_path / "out"
@@ -891,11 +892,11 @@ def test_a_pooled_sweep_out_of_memory_starts_no_further_cell(tmp_path, capsys, m
 
     handler, header, template = dqpt.cli._TASKS["rate"]
 
-    def slow_rate_or_out_of_memory(cell_cfg, warnings):
+    def slow_rate_or_out_of_memory(cell_cfg, warnings, **kwargs):
         if cell_cfg.beta == 10.0:  # the first cell
             raise MemoryError
         time.sleep(0.5)
-        return handler(cell_cfg, warnings)
+        return handler(cell_cfg, warnings, **kwargs)
 
     monkeypatch.setitem(dqpt.cli._TASKS, "rate", (slow_rate_or_out_of_memory, header, template))
     cfg = tmp_path / "s.cfg"
@@ -1035,6 +1036,58 @@ def test_a_pooled_sweep_removes_temporaries_only_in_its_failed_cells(
     assert manifest["cell_error.3"] == f"{_KILLED}: RuntimeError: killed"
     assert capsys.readouterr().err == f"dqpt: sweep: failed cell {_KILLED}: RuntimeError: killed\n"
     assert sorted(out.rglob("*.tmp")) == sorted(keep)
+
+
+SMALL_TASKS = {  # every single task, at sizes that run in milliseconds
+    "rate": ["--steps", "11"],
+    "rate-finite": ["--n-sites", "20", "--steps", "11"],
+    "zeros": ["--k-resolution", "64", "--branch", "0", "--branch", "1"],
+    "critical-modes": [],
+    "winding": ["--steps", "5"],
+    "echo-decomposition": ["--n-sites", "20", "--steps", "11"],
+    "variant-report": [],
+}
+
+
+@pytest.mark.parametrize("task", sorted(SMALL_TASKS))
+def test_a_task_manifest_times_its_handler_and_its_csv(tmp_path, task):
+    out = tmp_path / "out.csv"
+    assert main([task, *SMALL_TASKS[task], "--out", str(out)]) == 0
+    manifest = read_manifest(tmp_path / "out.csv.manifest")
+    keys = ["timing.task_s", "timing.csv_s"]
+    assert [k for k in manifest if k in keys] == keys
+    seconds = [float(manifest[k]) for k in keys]
+    assert all(math.isfinite(s) and s >= 0.0 for s in seconds)
+    assert sum(seconds) <= float(manifest["duration_seconds"])
+
+
+@pytest.mark.parametrize("variant,scans", [("sinh", 0), ("tanh", 1)])
+def test_a_sinh_sweep_cell_hands_its_modes_to_the_rate(tmp_path, monkeypatch, variant, scans):
+    from dqpt import observables
+
+    calls = []
+    orig = observables.imbalance_roots
+    monkeypatch.setattr(observables, "imbalance_roots", lambda p: calls.append(p) or orig(p))
+    protocol = ["--lambda-pre", "1.5", "--lambda-post", "2", "--beta", "0.1", "--phi", "-pi/2"]
+    window = ["--t-max", "6", "--steps", "61", "--variant", variant]
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("beta_list = 0.1\nphi_list = -pi/2\nlambda_post_list = 2\n", encoding="utf-8")
+    sweep = ["sweep", "--config", str(cfg), "--lambda-pre", "1.5", *window]
+    assert main([*sweep, "--out", str(tmp_path / "sweep")]) == 0
+    assert len(calls) == scans  # the rate's panels: the cell's sinh modes, or a scan of its own
+    (cell,) = [p for p in (tmp_path / "sweep").iterdir() if p.is_dir()]
+    # the rate task scans the roots itself: the same bytes
+    assert main(["rate", *protocol, *window, "--out", str(tmp_path / "rate.csv")]) == 0
+    assert (cell / "rate.csv").read_bytes() == (tmp_path / "rate.csv").read_bytes()
+
+
+def test_the_task_timings_stay_out_of_the_cell_manifest(tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("beta_list = 1\nphi_list = 0\nlambda_post_list = 2\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), "--steps", "21", "--out", str(tmp_path)]) == 0
+    (cell,) = [p for p in tmp_path.iterdir() if p.is_dir()]
+    manifest = read_manifest(cell / "cell.manifest")
+    assert not {"timing.task_s", "timing.csv_s"} & manifest.keys()
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqpt import (
     QuenchProtocol,
@@ -335,6 +337,41 @@ def test_variant_report_scans_its_nodes_once(monkeypatch, protocol):
         (r.variant, r.k_star, r.residual, r.residual_other, r.fisher_confirmed) for r in rep.rows
     ]
     assert rows == _per_variant_report_rows(protocol)
+
+
+@pytest.mark.parametrize("protocol", VARIANT_PROTOCOLS)
+def test_variant_report_takes_each_rows_residuals_from_one_call(monkeypatch, protocol):
+    from dqpt import criticality
+
+    at = []
+    orig = criticality.mode_coefficients
+    monkeypatch.setattr(
+        criticality, "mode_coefficients", lambda p, k: at.append(np.copy(k)) or orig(p, k)
+    )
+    rep = variant_report(protocol)
+    for row in rep.rows:  # bisection never evaluates the midpoint it returns
+        rows_there = sum(r.k_star == row.k_star for r in rep.rows)  # both variants, if thermal
+        assert sum(1 for k in at if k.ndim == 0 and k == row.k_star) == rows_there
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+protocol_st = st.builds(
+    QuenchProtocol,
+    st.floats(0.0, 3.0, **finite),
+    st.floats(0.0, 3.0, **finite),
+    st.one_of(st.just(math.inf), st.floats(-2.0, 1.0, **finite).map(lambda e: 10.0**e)),
+    st.floats(-math.pi, math.pi, **finite),
+)
+
+
+@given(protocol_st)
+@settings(deadline=None, max_examples=100)
+def test_the_sinh_modes_are_the_imbalance_roots_bit_for_bit(protocol):
+    # a sweep cell hands the sinh modes to the rate as its panel edges
+    modes = critical_modes(protocol, "sinh", 0).modes
+    roots = imbalance_roots(protocol)
+    assert modes.dtype == roots.dtype
+    assert modes.view(np.int64).tolist() == roots.view(np.int64).tolist()
 
 
 # perfbench's topology_scan protocol p33 of seed 1222: a sinh root at

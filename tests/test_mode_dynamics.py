@@ -6,16 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqpt import (
+    VARIANTS,
+    ModeCoefficients,
     QuenchProtocol,
     boundary_partition,
+    compute_rate_series,
+    compute_rate_series_finite,
+    critical_modes,
     delta_theta,
     dispersion,
     evolution_operator,
+    fisher_zero_line,
     mode_amplitude,
     mode_amplitude_oracle,
     mode_coefficients,
     mode_eigenvectors,
     null_work_decomposition,
+    phase_profile,
+    variant_report,
 )
 
 K_STAR = math.acos(0.8)  # equal-population momentum of the 0.5 -> 2 quench
@@ -89,6 +97,34 @@ class TestModeCoefficients:
         c = mode_coefficients(QuenchProtocol(0.5, 2.0, 1.0, 0.3), k)
         assert c.imbalance.shape == (7,)
         assert c.weight_plus.shape == (7,)
+
+    def test_weights_are_computed_once_and_read_only(self):
+        c = mode_coefficients(QuenchProtocol(0.5, 2.0, 1.0, 0.3), np.linspace(0.1, 3.0, 7))
+        assert c.weight_plus is c.weight_plus and c.weight_minus is c.weight_minus
+        for name in ("weight_plus", "weight_minus"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, 0.0)
+
+
+def test_only_the_fisher_line_and_boundary_partition_read_the_weights(monkeypatch):
+    def unread(self):
+        raise AssertionError("eigenbasis weights read")
+
+    monkeypatch.setattr(ModeCoefficients, "weight_plus", property(unread))
+    monkeypatch.setattr(ModeCoefficients, "weight_minus", property(unread))
+    p = QuenchProtocol(1.5, 2.0, 0.1, -math.pi / 2)  # fig4: two roots in each variant
+    times = np.linspace(0.0, 6.0, 31)
+    assert phase_profile(p, 2.0).refinements >= 0
+    for variant in VARIANTS:
+        assert critical_modes(p, variant).modes.size == 2
+    assert len(variant_report(p).rows) == 4
+    assert np.isfinite(compute_rate_series(p, times).values).all()
+    assert np.isfinite(compute_rate_series_finite(p, 100, times).values).all()
+    # the spy is live: the readers do raise
+    with pytest.raises(AssertionError, match="weights read"):
+        fisher_zero_line(p, 0, [1.0])
+    with pytest.raises(AssertionError, match="weights read"):
+        boundary_partition(mode_coefficients(p, 1.0), 0.5j)
 
 
 class TestModeAmplitude:

@@ -8,6 +8,7 @@ bit for bit, for arrays, scalars and 0-d arrays alike.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from dqpt import (
     bogoliubov_angle,
     delta_theta,
     dispersion,
+    fisher_zero_line,
     mode_coefficients,
 )
 
@@ -82,8 +84,9 @@ def old_mode_coefficients(protocol, k):
     w_plus = np.maximum(w_plus, 0.0)
     w_minus = np.maximum(w_minus, 0.0)
 
+    # a plain namespace: ModeCoefficients computes its weights itself
     if np.ndim(k) == 0:
-        return ModeCoefficients(
+        return SimpleNamespace(
             eps_pre=float(eps_pre),
             eps_post=float(eps_post),
             delta_theta=float(dth),
@@ -91,7 +94,7 @@ def old_mode_coefficients(protocol, k):
             weight_plus=float(w_plus),
             weight_minus=float(w_minus),
         )
-    return ModeCoefficients(
+    return SimpleNamespace(
         eps_pre=eps_pre,
         eps_post=eps_post,
         delta_theta=dth,
@@ -123,8 +126,13 @@ def assert_same_outcome(fn, old_fn, *args):
     if kind == "ValueError":
         assert new == old
     elif isinstance(new, ModeCoefficients):
-        for name in FIELDS:
+        # the weights are computed on first read: read them last here, first
+        # on a second result, and once more from the cache
+        again = fn(*args)
+        for name in (*FIELDS, *FIELDS[-2:]):
             assert_bitwise(getattr(new, name), getattr(old, name))
+        for name in (*FIELDS[-2:], *FIELDS[:-2]):
+            assert_bitwise(getattr(again, name), getattr(old, name))
     else:
         assert_bitwise(new, old)
 
@@ -181,3 +189,48 @@ def test_zone_center_without_angle_raises_the_same_error(lambda_pre, lambda_post
     assert str(new.value) == str(old.value)
     first = lambda_pre if lambda_pre >= 1.0 else lambda_post  # the pre-quench angle comes first
     assert f"field {first!r} >= 1" in str(new.value)
+
+
+def _weight_zero(protocol):
+    """The momentum where the phi = +-pi/2 weight's square root e^{-x} cos
+    dtheta - sin dtheta (+pi/2) or e^{-x} sin dtheta - cos dtheta (-pi/2)
+    changes sign, by bisection on the oracle's fields."""
+
+    def root(k):
+        c = old_mode_coefficients(protocol, k)
+        em, dth = math.exp(-protocol.beta * c.eps_pre), c.delta_theta
+        if protocol.phi > 0.0:
+            return em * math.cos(dth) - math.sin(dth)
+        return em * math.sin(dth) - math.cos(dth)
+
+    a, b = 1e-3, math.pi - 1e-3
+    fa = root(a)
+    assert (fa < 0.0) != (root(b) < 0.0)
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        if (root(m) < 0.0) == (fa < 0.0):
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.0, 4.0])
+@pytest.mark.parametrize("phi", [math.pi / 2, -math.pi / 2])
+def test_fisher_subset_weights_bitwise_equal_to_the_oracle_subset(beta, phi):
+    # next to a weight's double zero roundoff leaves it slightly either side of
+    # 0 and the clamp makes it exactly 0, so some samples are skipped
+    protocol = QuenchProtocol(0.5, 2.0, beta, phi)
+    k = _weight_zero(protocol) + np.arange(-40, 41) * 1e-10
+    old = old_mode_coefficients(protocol, k)
+    ok = (old.weight_plus > 0.0) & (old.weight_minus > 0.0)
+    assert 0 < np.count_nonzero(ok) < k.size
+    for shared in (None, mode_coefficients(protocol, k)):
+        line = fisher_zero_line(protocol, 1, k, shared)
+        assert_bitwise(line.skipped, k[~ok])
+        kept = line.coefficients
+        for name in (*FIELDS[-2:], *FIELDS):  # the weights first, then again from the cache
+            assert_bitwise(getattr(kept, name), getattr(old, name)[ok])
+        eps = old.eps_post[ok]
+        re = (np.log(old.weight_plus[ok]) - np.log(old.weight_minus[ok])) / (2.0 * eps)
+        assert_bitwise(line.zeros.real, re)

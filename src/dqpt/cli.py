@@ -349,9 +349,7 @@ def _write_manifest(path: str, cfg: RunConfig, started: float, entries, warnings
 
 def _task_rate(cfg, warnings, roots=None):
     diag_in: dict = {}
-    series = compute_rate_series(
-        _protocol(cfg), _times(cfg), cfg.tol, diagnostics=diag_in, roots=roots
-    )
+    series = compute_rate_series(_protocol(cfg), _times(cfg), cfg.tol, diag_in, roots=roots)
     bad = ~np.isfinite(series.values) | (series.estimated_error > cfg.tol)
     singular = int(bad.sum())
     if singular:

@@ -21,8 +21,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -386,8 +384,11 @@ def _task_zeros(cfg, warnings):
         worst = float(res.max(initial=worst))
         columns = (line.momenta, line.zeros.real, line.zeros.imag, res)
         rows.extend(zip(itertools.repeat(n), *(c.tolist() for c in columns)))
-        for km in line.skipped:
-            warnings.append(f"branch {n}: sample k={_fmt(km)} skipped (vanishing weight)")
+        if line.skipped.size:  # one warning per branch: every sample can be skipped
+            warnings.append(
+                f"branch {n}: {line.skipped.size} samples skipped (vanishing weight),"
+                f" the first at k={_fmt(line.skipped[0])}"
+            )
     return None, rows, [("zeros.max_residual", worst)], False
 
 
@@ -568,6 +569,13 @@ def _pooled_outcomes(payloads, workers):
     BrokenProcessPool; those cells and the ones not yet submitted then run
     one at a time, each in a fresh one-worker pool, so that only a cell
     that kills its own worker fails."""
+    from concurrent.futures import (  # (multiprocessing loads only for sweep --jobs N > 1)
+        FIRST_COMPLETED,
+        ProcessPoolExecutor,
+        wait,
+    )
+    from concurrent.futures.process import BrokenProcessPool  # (loads with the pool)
+
     outcomes, running, broken = [None] * len(payloads), {}, []
     todo = collections.deque(range(len(payloads)))
     with ProcessPoolExecutor(max_workers=workers) as pool:

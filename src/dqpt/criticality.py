@@ -17,6 +17,7 @@ with_jump_signs=False is kept for its callers and saves nothing.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,13 +110,16 @@ def _variant_residual(protocol: QuenchProtocol, k, variant: str, coeffs=None):
     return float(out) if np.ndim(k) == 0 else out
 
 
+@functools.lru_cache(maxsize=1)  # built once per process and shared read-only
 def _scan_nodes() -> np.ndarray:
     # uniform interior nodes plus geometric densification toward both
     # endpoints so roots within ~1e-3 of the edges are still bracketed
     interior = np.linspace(0.0, math.pi, _SCAN_PANELS + 1)[1:-1]
     lead = np.geomspace(K_EPS, interior[0], 48, endpoint=False)
     tail = math.pi - np.geomspace(K_EPS, math.pi - interior[-1], 48, endpoint=False)
-    return np.concatenate([lead, interior, np.sort(tail)])
+    nodes = np.concatenate([lead, interior, np.sort(tail)])
+    nodes.flags.writeable = False
+    return nodes
 
 
 def _bisect(fn, a: float, b: float, fa: float, fb: float) -> float:

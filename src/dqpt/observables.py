@@ -13,7 +13,6 @@ import functools
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from contextvars import copy_context
 from dataclasses import dataclass
@@ -140,6 +139,8 @@ def _echo_blocks(fn, eps_post, times, imbalance, diagnostics=None):
         return fn(lo, tb, mode_echo(imbalance, eps, t, out[:n], work[:n]))
 
     def rounds():
+        if threads > 1:
+            from concurrent.futures import ThreadPoolExecutor  # (and logging: for 2+ threads)
         with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
             for first in range(0, len(starts), _ROUND_BLOCKS):
                 round_ = starts[first : first + _ROUND_BLOCKS]
@@ -160,8 +161,28 @@ def _echo_blocks(fn, eps_post, times, imbalance, diagnostics=None):
 # ---------------------------------------------------------------------------
 # thermodynamic-limit rate function
 
-_GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
-_GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
+# np.polynomial.legendre.leggauss(15) and (7), bit for bit: literals, so that
+# no run loads numpy.polynomial
+_GL15_X = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+    -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
+    0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+])
+_GL15_W = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+    0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
+    0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+])
+_GL7_X = np.array([
+    -0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+    0.4058451513773972, 0.7415311855993945, 0.9491079123427586,
+])
+_GL7_W = np.array([
+    0.12948496616886973, 0.27970539148927687, 0.3818300505051187, 0.4179591836734693,
+    0.3818300505051187, 0.27970539148927687, 0.12948496616886973,
+])
 # every panel carries both rules' nodes in one row: 15 Gauss-Legendre, then 7
 _NODES_X = np.concatenate([_GL15_X, _GL7_X])
 _NODES_W = np.concatenate([_GL15_W, _GL7_W])

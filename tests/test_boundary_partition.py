@@ -105,6 +105,20 @@ def test_zeros_task_with_every_sample_skipped_writes_a_header_only_csv(tmp_path)
     assert rc == 0
     assert out.read_text(encoding="utf-8") == "n,k,re_z,im_z,residual\n"
     entries = dict(RunManifest.from_text((tmp_path / "z.csv.manifest").read_text()).entries)
-    assert sum(key.startswith("warning.") for key in entries) == 256
+    assert [key for key in entries if key.startswith("warning.")] == ["warning.0"]
     assert entries["rows"] == "0"
     assert entries["zeros.max_residual"] == "0"
+
+
+def test_zeros_task_writes_one_warning_per_branch_whatever_it_skips(tmp_path):
+    # no quench from the ground state: both branches skip all 256 samples
+    out = tmp_path / "z.csv"
+    argv = ["zeros", "--lambda-pre", "1.3", "--lambda-post", "1.3", "--beta", "inf"]
+    assert main(argv + ["--branch", "0", "--branch", "1", "--out", str(out)]) == 0
+    entries = dict(RunManifest.from_text((tmp_path / "z.csv.manifest").read_text()).entries)
+    warnings = [value for key, value in entries.items() if key.startswith("warning.")]
+    first = "%.17g" % K_EPS
+    assert warnings == [
+        f"branch {n}: 256 samples skipped (vanishing weight), the first at k={first}"
+        for n in (0, 1)
+    ]

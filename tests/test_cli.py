@@ -397,10 +397,8 @@ class _FakePool:
 
 @pytest.mark.parametrize("cells,expected", [("10, 0.1", [2]), ("0.1", [])])
 def test_sweep_pool_never_exceeds_the_cell_count(tmp_path, monkeypatch, cells, expected):
-    import dqpt.cli
-
     monkeypatch.setattr(_FakePool, "created", [])
-    monkeypatch.setattr(dqpt.cli, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
     cfg = tmp_path / "s.cfg"
     cfg.write_text(f"beta_list = {cells}\nsteps = 11\n", encoding="utf-8")
     out = tmp_path / "pooled"
@@ -411,10 +409,8 @@ def test_sweep_pool_never_exceeds_the_cell_count(tmp_path, monkeypatch, cells, e
 
 
 def test_a_serial_sweep_builds_no_pool(tmp_path, monkeypatch):
-    import dqpt.cli
-
     monkeypatch.setattr(_FakePool, "created", [])
-    monkeypatch.setattr(dqpt.cli, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
     cfg = tmp_path / "s.cfg"
     cfg.write_text("beta_list = 10, 0.1\nsteps = 11\n", encoding="utf-8")
     out = tmp_path / "serial"
@@ -435,7 +431,7 @@ def test_jobs_above_the_cap_exit_2_before_any_pool(tmp_path, capsys, monkeypatch
     import dqpt.cli
 
     monkeypatch.setattr(dqpt.cli, "_MAX_JOBS", 2)
-    monkeypatch.setattr(dqpt.cli, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     cfg = tmp_path / "s.cfg"
     cfg.write_text("beta_list = 10, 1, 0.1\nsteps = 11\n", encoding="utf-8")
     out = tmp_path / "capped"
@@ -448,7 +444,7 @@ def test_jobs_at_the_cap_are_accepted(tmp_path, monkeypatch):
     import dqpt.cli
 
     monkeypatch.setattr(dqpt.cli, "_MAX_JOBS", 2)
-    monkeypatch.setattr(dqpt.cli, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     out = tmp_path / "one_cell"  # one cell: the sweep runs it without a pool
     assert main(["sweep", "--beta", "0.1", "--steps", "11", "--jobs", "2", "--out", str(out)]) == 0
     _, rows = read_rows(out / "index.csv")
@@ -989,14 +985,12 @@ class _PoolBrokenAfterOneCell(_FakePool):
 
 
 def test_cells_a_broken_pool_never_took_run_alone_in_fresh_pools(tmp_path, monkeypatch):
-    import dqpt.cli
-
     cfg = tmp_path / "s.cfg"
     cfg.write_text(_DEAD_WORKER_CFG, encoding="utf-8")
     clean = tmp_path / "clean"
     assert main(["sweep", "--config", str(cfg), "--out", str(clean)]) == 0
     monkeypatch.setattr(_FakePool, "created", [])
-    monkeypatch.setattr(dqpt.cli, "ProcessPoolExecutor", _PoolBrokenAfterOneCell)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolBrokenAfterOneCell)
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--jobs", "2", "--out", str(out)]) == 0
     assert _FakePool.created == [2, 1, 1, 1]  # cells 1, 2 and 3 alone
@@ -1018,7 +1012,7 @@ def test_a_pooled_sweep_removes_temporaries_only_in_its_failed_cells(
     import dqpt.cli
 
     monkeypatch.setattr(_FakePool, "created", [])
-    monkeypatch.setattr(dqpt.cli, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(dqpt.cli, "_sweep_cell", _sweep_cell_or_leave_a_temporary)
     cfg = tmp_path / "s.cfg"
     cfg.write_text(_DEAD_WORKER_CFG, encoding="utf-8")

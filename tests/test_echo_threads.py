@@ -11,6 +11,7 @@ must start no thread; and what a round holds must not grow with the CPU
 count.  The CPU count is set by patching observables._cpus.
 """
 
+import concurrent.futures
 import math
 import sys
 import threading
@@ -201,7 +202,7 @@ def test_one_block_starts_no_thread(monkeypatch, threads, n_times):
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was built")
 
-    monkeypatch.setattr(observables, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     diag = {}
     with mock.patch.object(observables, "_cpus", lambda: threads):
         blocks = _echo_blocks(
@@ -290,7 +291,7 @@ def test_one_thread_runs_whole_rounds_on_the_calling_thread(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was built")
 
-    monkeypatch.setattr(observables, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     computed = []
     blocks = many_blocks(1, lambda lo, tb, echo: computed.append(lo) or threading.current_thread())
     assert next(blocks) is threading.current_thread()

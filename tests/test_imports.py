@@ -1,7 +1,11 @@
 """Imports and private names in src/dqpt, checked on the syntax tree.
 
 Every imported name is used in its module, or its import statement carries
-a ``noqa`` comment that gives the reason in parentheses.  The time blocks
+a ``noqa`` comment that gives the reason in parentheses.  An import inside a
+function body, made there so that ``import dqpt.cli`` does not load it,
+carries a comment that gives the reason in parentheses too; a fresh
+interpreter checks that ``import dqpt.cli`` leaves the pools' modules and
+numpy.polynomial unloaded.  The time blocks
 of the echo loops and their 64-byte-aligned buffers are decided in one
 place: _BLOCK_BYTES and _aligned_empty are named only in mode_dynamics,
 which defines the buffers, and observables, whose _echo_blocks is the one
@@ -11,14 +15,20 @@ the tests (the oracles keep some that the library has dropped).
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import dqpt
 
 SRC = pathlib.Path(dqpt.__file__).parent
 ROOT = pathlib.Path(__file__).parent.parent
 NOQA = re.compile(r"#\s*noqa:\s*[A-Z]+\d+\s*\((?P<reason>[^)]*\w[^)]*)\)")
+REASON = re.compile(r"#[^(]*\((?P<reason>[^)]*\w[^)]*)\)")
+# what only a pool or numpy.polynomial loads; import dqpt.cli must load none of it
+LAZY = ("multiprocessing", "concurrent.futures", "logging", "numpy.polynomial")
 # imports that only the benchmark's tracer looks up (perfbench/tracer.py WRAPPED)
 TRACED = {
     ("cli", "null_work_decomposition"),
@@ -76,6 +86,54 @@ def test_every_unused_import_says_why_it_is_kept():
     unused = unused_imports()
     assert [key for key, reason in unused.items() if reason is None] == []
     assert set(unused) == TRACED
+
+
+def lazy_imports():
+    """(module, function, line) -> the reason in parentheses in the comment
+    on an import statement inside a function body, or None."""
+    out = {}
+    for module, (lines, tree) in parsed().items():
+        found = {}  # line -> (innermost function, reason); ast.walk meets outer functions first
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    statement = " ".join(lines[node.lineno - 1 : node.end_lineno])
+                    match = REASON.search(statement)
+                    found[node.lineno] = fn.name, match.group("reason") if match else None
+        out.update({(module, fn, line): reason for line, (fn, reason) in found.items()})
+    return out
+
+
+def test_every_lazy_import_says_why_it_is_lazy():
+    lazy = lazy_imports()
+    assert [key for key, reason in lazy.items() if reason is None] == []
+    assert {(module, fn) for module, fn, _ in lazy} == {
+        ("cli", "_pooled_outcomes"),
+        ("observables", "rounds"),
+    }
+
+
+def test_the_finder_sees_a_lazy_import_without_a_reason(tmp_path, monkeypatch):
+    source = (
+        "import os\nos\n"
+        "def f():\n    import re  # (kept out of start-up)\n    re\n"
+        "def g():\n    if os:\n        from sys import (  # no reason\n"
+        "            argv,\n        )\n    argv\n"
+    )
+    (tmp_path / "a.py").write_text(source, encoding="utf-8")
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert lazy_imports() == {("a", "f", 4): "kept out of start-up", ("a", "g", 8): None}
+
+
+def test_importing_the_cli_loads_no_pool_and_no_polynomial_module():
+    code = f"import sys, dqpt.cli; print([m for m in {LAZY!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_the_finder_sees_an_unused_import(tmp_path, monkeypatch):

@@ -58,6 +58,15 @@ def _mp_rate(protocol, t):
         return float(value)
 
 
+@pytest.mark.parametrize("n", [15, 7])
+def test_the_gauss_legendre_literals_are_leggauss_bit_for_bit(n):
+    x, w = getattr(observables, f"_GL{n}_X"), getattr(observables, f"_GL{n}_W")
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    for table, ref in ((x, ref_x), (w, ref_w)):
+        assert table.dtype == ref.dtype and table.shape == ref.shape
+        assert table.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize(
     "protocol, t",
     [

@@ -57,6 +57,13 @@ def old_scan_for_roots(fn, vals=None):
     return np.asarray(roots, dtype=float), vals[idx] > 0.0
 
 
+def test_the_scan_nodes_are_built_once_read_only_with_the_oracles_bits():
+    nodes = _scan_nodes()
+    assert _scan_nodes() is nodes
+    assert not nodes.flags.writeable
+    assert nodes.tobytes() == old_scan_nodes().tobytes()
+
+
 def assert_same_scan(protocol, variant):
     fn = lambda k: _variant_residual(protocol, k, variant)
     # once from fn alone (critical_modes) and once from a shared

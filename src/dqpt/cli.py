@@ -354,9 +354,10 @@ def _task_rate(cfg, warnings, roots=None):
         warnings.append(f"{singular} rate samples singular or above tolerance")
     columns = (series.times, series.values, series.estimated_error, bad)
     diag = [("blocks.threads", diag_in.pop("block_threads"))]
-    refine_s = diag_in.pop("refine_seconds")
+    timing = [("timing.quadrature_setup_s", diag_in.pop("setup_seconds"))]
+    timing += [(f"timing.{s}_s", diag_in.pop(f"{s}_seconds")) for s in ("bulk", "refine")]
     diag += [("rate." + key, value) for key, value in diag_in.items()]
-    diag += [("rate.singular_rows", singular), ("timing.refine_s", refine_s)]
+    diag += [("rate.singular_rows", singular), *timing]
     return series, zip(*(c.tolist() for c in columns)), diag, singular > 0
 
 

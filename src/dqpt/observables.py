@@ -185,17 +185,13 @@ _GL7_W = np.array([
 ])
 # every panel carries both rules' nodes in one row: 15 Gauss-Legendre, then 7
 _NODES_X = np.concatenate([_GL15_X, _GL7_X])
-_NODES_W = np.concatenate([_GL15_W, _GL7_W])
 
 _MAX_SPLITS = 4096  # refinement splits per sample
 
 
 def _log_echo_values(v):
-    # -(1/pi) ln|G_k(t)| in place over echoes v = |G_k(t)|^2; nonnegative since |G| <= 1
-    np.log(v, out=v)
-    np.negative(v, out=v)
-    v /= 2.0 * math.pi
-    return v
+    # ln|G_k(t)|^2 in place over echoes v = |G_k(t)|^2; nonpositive since |G| <= 1
+    return np.log(v, out=v)
 
 
 def _node_data(protocol, lefts, widths):
@@ -210,12 +206,12 @@ def _node_data(protocol, lefts, widths):
 
 
 def _panel_sums(half, v):
-    # (GL15 value, |GL15 - GL7|) per panel; overwrites v with weighted values.
-    # Multiply-then-sum along the node axis keeps each row's arithmetic
-    # independent of how many rows share the call, unlike a BLAS product
-    np.multiply(v, _NODES_W, out=v)
-    i15 = half * np.add.reduce(v[..., :15], axis=-1)
-    i7 = half * np.add.reduce(v[..., 15:], axis=-1)
+    # (GL15 value, |GL15 - GL7|) per panel of -(1/2pi) ln|G|^2 from the logs v,
+    # left as they are.  einsum (optimize=False) sums each row on its own, so its
+    # bits do not depend on how many rows share the call; a BLAS product's do
+    scale = half / (-2.0 * math.pi)
+    i15 = scale * np.einsum("...j,j->...", v[..., :15], _GL15_W)
+    i7 = scale * np.einsum("...j,j->...", v[..., 15:], _GL7_W)
     return i15, np.abs(i15 - i7)
 
 
@@ -324,7 +320,8 @@ def compute_rate_series(
     once.  A block of times is integrated over all base panels in one numpy
     pass of shape (time x panel x node), on the time blocks of _echo_blocks.
     Each panel carries a 15-point and a 7-point Gauss-Legendre rule, and
-    their difference is its error bound.  Samples whose summed bound
+    their difference is its error bound; _panel_sums forms each (time,
+    panel) row's sums on their own, so a row has the same bits in any block.  Samples whose summed bound
     exceeds tol are held and refined (_refine) once they fill about half a
     _BLOCK_BYTES, and at the end of the grid.
 
@@ -340,8 +337,9 @@ def compute_rate_series(
     whose bound exceeds tol (unconverged_samples), the most splits on one
     sample (max_splits), the largest error bound (max_err_bound, a NaN
     bound counting as the largest) with its time (max_err_bound_t), the
-    number of block threads (block_threads) and the perf_counter seconds
-    spent in _refine (refine_seconds).
+    number of block threads (block_threads) and perf_counter seconds: in
+    _base_panels and _node_data (setup_seconds), in the block loop other
+    than refinement (bulk_seconds) and in _refine (refine_seconds).
 
     The bulk pass runs on the block threads; the held samples and their
     refinement stay on the calling thread, between rounds of blocks.
@@ -353,9 +351,11 @@ def compute_rate_series(
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     tol = float(tol)
+    started = time.perf_counter()
     lefts, widths = _base_panels(protocol, roots)
     half = 0.5 * widths
     imb, eps = _node_data(protocol, lefts, widths)
+    setup_seconds = time.perf_counter() - started
     values, errors = np.empty(times.size), np.empty(times.size)
     splits = np.zeros(times.size, dtype=np.int64)
     # held samples (an i15 and an err row each, then four panel rows in
@@ -376,6 +376,7 @@ def compute_rate_series(
         return time.perf_counter() - started
 
     held, n_held, refine_seconds = [], 0, 0.0
+    started = time.perf_counter()
     for rows in _echo_blocks(bulk, eps, times, imb, diagnostics=diagnostics):
         held.append(rows)
         n_held += rows[0].size
@@ -384,6 +385,7 @@ def compute_rate_series(
             n_held = 0
     if held:
         refine_seconds += refine()
+    bulk_seconds = time.perf_counter() - started - refine_seconds
     if diagnostics is not None:
         worst = int(np.argmax(errors)) if errors.size else None  # argmax finds a NaN first
         extra = int(splits.sum())
@@ -394,6 +396,8 @@ def compute_rate_series(
         diagnostics["max_splits"] = int(splits.max(initial=0))
         diagnostics["max_err_bound"] = math.nan if worst is None else float(errors[worst])
         diagnostics["max_err_bound_t"] = math.nan if worst is None else float(times[worst])
+        diagnostics["setup_seconds"] = setup_seconds
+        diagnostics["bulk_seconds"] = bulk_seconds
         diagnostics["refine_seconds"] = refine_seconds
     return RateSeries(
         times=times,

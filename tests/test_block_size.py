@@ -25,7 +25,7 @@ from dqpt import (
 BLOCK_SIZES = (1 << 18, observables._BLOCK_BYTES)
 CPUS = (1, 2)
 # diagnostics that may differ: the thread count and the time taken
-UNCOMPARED = {"block_threads", "refine_seconds"}
+UNCOMPARED = {"block_threads", "setup_seconds", "bulk_seconds", "refine_seconds"}
 
 # two figure cells: fig3's hot phi = -pi/2 cell and fig4's hottest
 FIG_CELLS = {

@@ -3,7 +3,9 @@ aligned buffers they live in, the time blocks of _echo_blocks that fill
 them, and the in-place steps around them.
 
 Every in-place path must give the bits of the allocating one, leave its
-inputs alone and allocate nothing of the buffers' size.
+inputs alone and allocate nothing of the buffers' size.  The panel sums over
+the logs must give each row the bits it has alone, and the weighted sums
+within a few ulp.
 """
 
 import math
@@ -11,7 +13,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dqpt import mode_echo, observables
@@ -82,7 +84,7 @@ def test_log_echo_values_in_place_are_the_allocating_logs(case):
     a, eps, t = case
     echo = mode_echo(a, eps, t)
     with np.errstate(divide="ignore"):  # an exact zero echo logs to -inf
-        expected = -np.log(echo) / (2.0 * math.pi)
+        expected = np.log(echo)
         assert _log_echo_values(echo) is echo
     assert_bitwise(echo, expected)
 
@@ -130,34 +132,92 @@ def test_echo_blocks_tile_the_grid_with_the_allocating_echoes(case, spare_bytes)
         assert_bitwise(after, before)
 
 
-def old_panel_sums(half, v):
-    # the products as fresh temporaries, as before the sums worked in place
-    i15 = half * np.add.reduce(v[..., :15] * _GL15_W, axis=-1)
-    i7 = half * np.add.reduce(v[..., 15:] * _GL7_W, axis=-1)
-    return i15, np.abs(i15 - i7)
+@st.composite
+def panel_logs(draw):
+    """(half, v): logs v of echoes in [0, 1], exact zeros (-inf logs) and
+    NaNs among them, of shape (*leading, panel, 22), where leading is (),
+    (time,) as in the bulk pass or (sample, half) as in _refine; v is a
+    leading slice of a larger buffer, 0-7 doubles past a 64-byte boundary."""
+    leading = tuple(draw(st.lists(st.integers(1, 4), min_size=0, max_size=2)))
+    n_panels = draw(st.integers(1, 9))
+    shape = (*leading, n_panels, 22)
+    size = math.prod(shape)
+    e = np.array(draw(st.lists(st.floats(0.0, 1.0, **finite), min_size=size, max_size=size)))
+    specials = st.tuples(st.integers(0, size - 1), st.sampled_from([0.0, math.nan]))
+    for i, x in draw(st.lists(specials, max_size=3)):  # few, so most rows stay finite
+        e[i] = x
+    e = e.reshape(shape)
+    half = np.array(draw(st.lists(st.floats(1e-12, 0.05), min_size=n_panels,
+                                  max_size=n_panels)))
+    spare, offset = draw(st.integers(0, 3)), draw(st.integers(0, 7))
+    flat = _aligned_empty(offset + math.prod(shape) + spare * 22 * n_panels)
+    v = flat[offset : offset + e.size].reshape(shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v[...] = np.log(e)
+    return half, v
 
 
-@given(
-    st.integers(1, 6),
-    st.integers(1, 70),
-    st.integers(0, 3),
-    st.integers(0, 2**32 - 1),
-)
-@settings(deadline=None, max_examples=100)
-def test_panel_sums_in_place_keep_the_bits_of_fresh_products(n_times, n_panels, spare, seed):
-    # v is a leading slice of a larger aligned buffer, as in the bulk pass
-    rng = np.random.default_rng(seed)
-    half = rng.uniform(0.0, 0.05, n_panels)
-    buf = _aligned_empty((n_times + spare, n_panels, 22))
-    v = buf[:n_times]
-    v[...] = rng.uniform(0.0, 3.0, v.shape)
+def special_logs():
+    """Three panels' logs, always checked: plain, an exact zero echo among
+    the 15 GL15 nodes (+inf value) and a NaN echo among the 7 GL7 nodes."""
+    e = np.linspace(0.05, 1.0, 3 * 22).reshape(3, 22)
+    e[1, 3], e[2, 18] = 0.0, math.nan
+    with np.errstate(divide="ignore"):
+        return np.full(3, 0.01), np.log(e)
+
+
+@given(panel_logs(), st.integers(0, 7))
+@example(special_logs(), 3)
+@settings(deadline=None, max_examples=200)
+def test_panel_sums_of_a_row_alone_are_its_bits_in_the_batch(case, alone_offset):
+    # rate_function(t) is a one-point compute_rate_series, and a block's rows
+    # are summed wherever the block and the refinement round put them
+    half, v = case
     original = v.copy()
-    i15, err = _panel_sums(half, v)
-    old_i15, old_err = old_panel_sums(half, original)
-    assert_bitwise(i15, old_i15)
-    assert_bitwise(err, old_err)
-    assert_bitwise(v[..., :15], original[..., :15] * _GL15_W)  # documented: v is overwritten
-    assert_bitwise(v[..., 15:], original[..., 15:] * _GL7_W)
+    with np.errstate(invalid="ignore"):  # zero echoes in both rules give inf - inf
+        i15, err = _panel_sums(half, v)
+        assert_bitwise(v, original)  # the logs are left as they are
+        for index in np.ndindex(v.shape[:-1]):
+            row = _aligned_empty(alone_offset + 22)[alone_offset:]
+            row[...] = v[index]
+            alone_i15, alone_err = _panel_sums(half[index[-1]], row)
+            assert_bitwise(alone_i15, i15[index])
+            assert_bitwise(alone_err, err[index])
+
+
+def fsum_rule(half, logs, weights):
+    """-(half/2pi) sum_j w_j ln e_j: the rounded products summed exactly."""
+    return -half / (2.0 * math.pi) * math.fsum(w * x for w, x in zip(weights, logs))
+
+
+# the error allowed against fsum_rule: the rounding of 15 products of one sign
+# and their sums, in any order, may reach about 19 ulp at worst; 10^5-row
+# searches, random and with repeated values, never found more than 4
+PANEL_SUM_ULPS = 8
+
+
+@given(panel_logs())
+@example(special_logs())
+@settings(deadline=None, max_examples=200)
+def test_panel_sums_are_the_weighted_sums_of_the_logs(case):
+    half, v = case
+    with np.errstate(invalid="ignore"):
+        i15, err = _panel_sums(half, v)
+    for index in np.ndindex(v.shape[:-1]):
+        h, logs = float(half[index[-1]]), v[index].tolist()
+        want = fsum_rule(h, logs[:15], _GL15_W.tolist())
+        want7 = fsum_rule(h, logs[15:], _GL7_W.tolist())
+        got, got_err = float(i15[index]), float(err[index])
+        if not math.isfinite(want):  # a NaN, or an exact zero echo: +inf
+            assert got == want or math.isnan(got) and math.isnan(want)
+        else:
+            assert abs(got - want) <= PANEL_SUM_ULPS * math.ulp(want)
+        if math.isfinite(want) and math.isfinite(want7):
+            want_err = abs(want - want7)
+            slack = PANEL_SUM_ULPS * (math.ulp(want) + math.ulp(want7))
+            assert abs(got_err - want_err) <= slack + math.ulp(max(got_err, want_err))
+        else:
+            assert not math.isfinite(got_err)
 
 
 @given(

@@ -5,7 +5,8 @@ of CLI runs writes: the four configs/fig*.cfg sweeps, the benchmark's
 finite_grid jobs and 8 of its topology_scan protocols (their command lines
 written into the file), and three tasks at small sizes.  A change that means
 to move output bits regenerates the file with tests/golden/make_digests.py
-and reports the moves; any other change must leave every byte as it is.
+and reports the moves (its --keep and --compare steps); any other change
+must leave every byte as it is.
 """
 
 import importlib.util
@@ -50,3 +51,39 @@ def test_every_csv_matches_its_recorded_digest(tmp_path):
         f"{len(changed)} CSVs changed (first: {changed[:3]}), missing {missing[:3]}, "
         f"unrecorded {extra[:3]}"
     )
+
+
+def write_tree(root, files):
+    for path, text in files.items():
+        (root / path).parent.mkdir(parents=True, exist_ok=True)
+        (root / path).write_text(text, encoding="utf-8")
+
+
+def test_compare_reports_each_rate_move_against_its_bounds(tmp_path, capsys):
+    header = "t,r,err_bound,singular_flag\n"
+    write_tree(tmp_path / "old", {
+        "a/rate.csv": header + "0,0.5,1e-16,0\n0.1,2,0,0\n0.2,nan,nan,1\n",
+        "a/index.csv": "x\n1\n",
+        "b/other.csv": "y\n1\n",
+        "gone.csv": "z\n",
+    })
+    write_tree(tmp_path / "new", {
+        # one ulp within the two bounds, one ulp of 2 above bounds of 0, NaN kept
+        "a/rate.csv": header + "0,0.50000000000000011,1e-16,0\n0.1,2.0000000000000004,0,0\n"
+        "0.2,nan,nan,1\n",
+        "a/index.csv": "x\n1\n",
+        "b/other.csv": "y\n2\n",
+        "extra.csv": "z\n",
+    })
+    old, new = str(tmp_path / "old"), str(tmp_path / "new")
+    assert make_digests.compare(old, new) == [
+        f"gone.csv: only in {old}",
+        f"extra.csv: only in {new}",
+        "a/rate.csv: 2 of 3 samples moved, max |dr| 4.44e-16, max |dr|/max(1,|r|) 2.22e-16, "
+        "1 above the sum of their two err_bounds",
+        "  t=0.1: |dr| 4.44e-16 > err_bound sum 0",
+        "b/other.csv: changed",
+        "1 of 5 CSVs unchanged",
+    ]
+    make_digests.main(["--compare", old, new])
+    assert capsys.readouterr().out.splitlines() == make_digests.compare(old, new)

@@ -306,13 +306,12 @@ def _atomic_open(path: str):
         raise
 
 
-def _write_csv(path: str, header: str, template: str, rows) -> int:
-    """Header line, then template % row per row; returns the rows written."""
+def _write_csv(fh, header: str, template: str, rows) -> int:
+    """Header line, then template % row per row, into fh; returns the rows written."""
+    fh.write(header + "\n")
     count = 0
-    with _atomic_open(path) as fh:
-        fh.write(header + "\n")
-        for count, row in enumerate(rows, 1):
-            fh.write(template % row)
+    for count, row in enumerate(rows, 1):
+        fh.write(template % row)
     return count
 
 
@@ -482,26 +481,26 @@ TASKS = (*_TASKS, "sweep")
 
 
 def _write_task(task: str, cfg: RunConfig, path: str, warnings: list, **kwargs):
-    """Run one task, its handler given kwargs, and write its CSV: (result,
-    rows written, diagnostics, degraded)."""
+    """Run one task, its handler given kwargs, into a CSV opened before it
+    starts: (result, rows written, diagnostics, degraded, handler seconds,
+    CSV seconds)."""
     handler, header, template = _TASKS[task]
-    result, rows, diag, degraded = handler(cfg, warnings, **kwargs)
-    return result, _write_csv(path, header, template, rows), diag, degraded
+    with _atomic_open(path) as fh:
+        started = time.perf_counter()
+        result, rows, diag, degraded = handler(cfg, warnings, **kwargs)
+        handled = time.perf_counter()
+        count = _write_csv(fh, header, template, rows)
+    # streamed rows (echo-decomposition's) are computed while the CSV is written
+    return result, count, diag, degraded, handled - started, time.perf_counter() - handled
 
 
 def _run_task(cfg: RunConfig) -> int:
     started = time.perf_counter()
     out_path = cfg.out or cfg.task + ".csv"
     warnings: list = []
-    handler, header, template = _TASKS[cfg.task]
-    laps = [time.perf_counter()]  # before the handler, after it, after the CSV
-    _, rows, diag, degraded = handler(cfg, warnings)
-    laps.append(time.perf_counter())
-    count = _write_csv(out_path, header, template, rows)
-    laps.append(time.perf_counter())
+    _, count, diag, degraded, *seconds = _write_task(cfg.task, cfg, out_path, warnings)
     entries = [("output", out_path), ("rows", count), *diag]
-    # streamed rows (echo-decomposition's) are computed while the CSV is written
-    entries += [(f"timing.{s}_s", b - a) for s, a, b in zip(("task", "csv"), laps, laps[1:])]
+    entries += zip(("timing.task_s", "timing.csv_s"), seconds)
     tail = [("degraded", degraded)]
     _write_manifest(out_path + ".manifest", cfg, started, entries, warnings, tail)
     if degraded:
@@ -525,23 +524,22 @@ def _sweep_cell(payload):
     os.makedirs(cell_dir, exist_ok=True)
     warnings: list = []
     in_cell = functools.partial(os.path.join, cell_dir)
-    laps = [time.perf_counter()]  # before the stages, then after each
-    cs, _, entries, _ = _write_task("critical-modes", cfg, in_cell("critical_modes.csv"), warnings)
-    laps.append(time.perf_counter())
+    cs, _, entries, _, *modes_s = _write_task(
+        "critical-modes", cfg, in_cell("critical_modes.csv"), warnings
+    )
     # the sinh modes are the imbalance roots the rate's panels split at
     roots = cs.modes if cfg.variant == "sinh" else None
-    series, _, rate_diag, degraded = _write_task(
+    series, _, rate_diag, degraded, *rate_s = _write_task(
         "rate", cfg, in_cell("rate.csv"), warnings, roots=roots
     )
-    laps.append(time.perf_counter())
+    cusps_started = time.perf_counter()
     cusps = detect_cusps(series)
-    laps.append(time.perf_counter())
+    seconds = (sum(modes_s), sum(rate_s), time.perf_counter() - cusps_started)
 
     first_time = min((float(ladder[0]) for ladder in cs.times), default=math.nan)
     entries += [*rate_diag, ("cusps.count", len(cusps))]
     entries += [(f"cusps.{i}", c) for i, c in enumerate(cusps)]
-    stages = ("critical_modes", "rate", "cusps")
-    entries += [(f"timing.{s}_s", b - a) for s, a, b in zip(stages, laps, laps[1:])]
+    entries += zip(("timing.critical_modes_s", "timing.rate_s", "timing.cusps_s"), seconds)
     _write_manifest(in_cell("cell.manifest"), cfg, started, entries, warnings)
 
     name = os.path.basename(cell_dir)
@@ -649,7 +647,8 @@ def _run_sweep(cfg: RunConfig) -> int:
 
     # the index is written only once every cell has finished; a failed cell has no row
     rows = [row for row, _, _, error in results if error is None]
-    _write_csv(os.path.join(out_dir, "index.csv"), *_INDEX, rows)
+    with _atomic_open(os.path.join(out_dir, "index.csv")) as fh:
+        _write_csv(fh, *_INDEX, rows)
     degraded = sum(bad for _, bad, _, _ in results)
     errors = [(i, error) for i, (*_, error) in enumerate(results) if error]
     # a dead worker makes the pool kill the rest, maybe mid-write; only failed cells hold a .tmp

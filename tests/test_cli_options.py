@@ -12,6 +12,7 @@ from dqpt.cli import (
     _OPTIONS,
     RunConfig,
     RunManifest,
+    _atomic_open,
     _build_parser,
     _resolve_config,
     _write_csv,
@@ -212,8 +213,8 @@ def test_failed_write_keeps_the_old_file(tmp_path):
         yield ("1", "2")
         raise RuntimeError("killed mid-write")
 
-    with pytest.raises(RuntimeError):
-        _write_csv(str(path), "t,r", "%s,%s\n", rows())
+    with pytest.raises(RuntimeError), _atomic_open(str(path)) as fh:
+        _write_csv(fh, "t,r", "%s,%s\n", rows())
     assert path.read_bytes() == b"t,r\n0,0\n"
     assert [p.name for p in tmp_path.iterdir()] == ["rate.csv"]
 

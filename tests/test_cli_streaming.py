@@ -7,6 +7,7 @@ CSVs must equal them byte for byte, and the manifest must count the rows
 that were written.
 """
 
+import io
 import math
 import tracemalloc
 
@@ -98,10 +99,13 @@ def test_streamed_csv_equals_the_list_oracle(
         assert manifest["rate_finite.singular_rows"] == "0"
 
 
-def test_write_csv_counts_the_rows_it_writes(tmp_path):
-    path = str(tmp_path / "x.csv")
-    assert cli._write_csv(path, "a", "%s\n", iter([("1",), ("2",), ("3",)])) == 3
-    assert cli._write_csv(path, "a", "%s\n", []) == 0
+def test_write_csv_counts_the_rows_it_writes():
+    fh = io.StringIO()
+    assert cli._write_csv(fh, "a", "%s\n", iter([("1",), ("2",), ("3",)])) == 3
+    assert fh.getvalue() == "a\n1\n2\n3\n"
+    fh = io.StringIO()
+    assert cli._write_csv(fh, "a", "%s\n", []) == 0
+    assert fh.getvalue() == "a\n"
 
 
 def test_echo_decomposition_memory_does_not_grow_with_its_output(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ import argparse
 import collections
 import contextlib
 import dataclasses
+import errno
 import functools
 import glob
 import itertools
@@ -239,6 +240,9 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"jobs must be <= {_MAX_JOBS}, got {cfg.jobs}")
     if not cfg.branches:
         raise ConfigError("need at least one branch")
+    for n in cfg.branches:  # branch n is rung n of the ladder: the n_max cap, either sign
+        if abs(n) > _MAX_STEPS:
+            raise ConfigError(f"branch must be between -{_MAX_STEPS} and {_MAX_STEPS}, got {n}")
     try:
         protocol = _protocol(cfg)
     except ValueError as exc:
@@ -497,6 +501,9 @@ def _write_task(task: str, cfg: RunConfig, path: str, warnings: list, **kwargs):
 def _run_task(cfg: RunConfig) -> int:
     started = time.perf_counter()
     out_path = cfg.out or cfg.task + ".csv"
+    for path in (out_path, out_path + ".manifest"):  # a .tmp opens; only its rename would fail
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     warnings: list = []
     _, count, diag, degraded, *seconds = _write_task(cfg.task, cfg, out_path, warnings)
     entries = [("output", out_path), ("rows", count), *diag]

@@ -45,7 +45,9 @@ class QuenchProtocol:
     temperature of the preparation; ``math.inf`` selects the ground state.
     phi is the relative phase between the two levels of every mode sector
     and is normalized into (-pi, pi].  coupling sets the overall energy
-    scale and defaults to 1.
+    scale and defaults to 1.  2 * max(coupling, 1) * (max(lambda_pre,
+    lambda_post) + 1) must be finite: twice the bound on every mode energy,
+    with the coupling and without it.
     """
 
     lambda_pre: float
@@ -71,9 +73,12 @@ class QuenchProtocol:
         j = float(self.coupling)
         if not math.isfinite(j) or j <= 0.0:
             raise ValueError(f"coupling must be positive, got {j!r}")
-        if not math.isfinite(j * (max(self.lambda_pre, self.lambda_post) + 1.0)):
-            # the bound on every mode energy; an overflow makes t*_0 zero
-            raise ValueError(f"coupling {j!r} overflows the mode energies")
+        # every mode energy is at most j * (max field + 1): the critical-time
+        # ladder divides by twice the energy, and the mixing angle adds
+        # (lam - cos k) to the coupling-free energy; both sums must stay finite
+        field = max(self.lambda_pre, self.lambda_post)
+        if not math.isfinite(2.0 * max(j, 1.0) * (field + 1.0)):
+            raise ValueError(f"coupling {j!r} with field {field!r} overflows the mode energies")
         object.__setattr__(self, "coupling", j)
 
 

@@ -567,12 +567,43 @@ def assert_exit_2_writes_nothing(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("*.tmp"))
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    return err
 
 
-def test_rate_into_a_missing_directory_exits_2(tmp_path, capsys):
-    out = tmp_path / "missing" / "x.csv"
-    assert_exit_2_writes_nothing(tmp_path, capsys, ["rate", "--steps", "3", "--out", str(out)])
-    assert not (tmp_path / "missing").exists()
+SMALL_TASKS = {  # every single task, at sizes that run in milliseconds
+    "rate": ["--steps", "11"],
+    "rate-finite": ["--n-sites", "20", "--steps", "11"],
+    "zeros": ["--k-resolution", "64", "--branch", "0", "--branch", "1"],
+    "critical-modes": [],
+    "winding": ["--steps", "5"],
+    "echo-decomposition": ["--n-sites", "20", "--steps", "11"],
+    "variant-report": [],
+}
+
+
+@pytest.mark.parametrize("task", sorted(SMALL_TASKS))
+@pytest.mark.parametrize("out", ["missing/x.csv", "adir", ".", "m.csv"])
+def test_an_unwritable_out_exits_2_before_the_handler_runs(
+    tmp_path, capsys, monkeypatch, out, task
+):
+    import dqpt.cli
+
+    handler, header, template = dqpt.cli._TASKS[task]
+    calls = []
+
+    def spy(*args, **kwargs):  # its work would be lost: the CSV cannot be written
+        calls.append(task)
+        return handler(*args, **kwargs)
+
+    monkeypatch.setitem(dqpt.cli._TASKS, task, (spy, header, template))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "m.csv.manifest").mkdir()  # the CSV could be written, its manifest not
+    err = assert_exit_2_writes_nothing(tmp_path, capsys, [task, *SMALL_TASKS[task], "--out", out])
+    assert err.startswith(f"dqpt: {task}: cannot write output: ")
+    assert f"'{out}" in err  # the path, its .tmp in a missing directory, or its manifest
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "m.csv.manifest"]
 
 
 def test_rate_below_a_regular_file_exits_2(tmp_path, capsys):
@@ -671,6 +702,17 @@ def test_a_coupling_that_overflows_the_mode_energies_exits_2(tmp_path, capsys, t
     assert not out.exists()
 
 
+def test_a_field_that_overflows_twice_the_mode_energies_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["critical-modes", "--lambda-post", "1e308", "--out", str(out)]
+    err = assert_exit_2_writes_nothing(tmp_path, capsys, argv)
+    assert err == "dqpt: coupling 1.0 with field 1e+308 overflows the mode energies\n"
+    # at 8e307, twice the energy bound is finite: the first critical time is not 0
+    assert main(["critical-modes", "--lambda-post", "8e307", "--out", str(out)]) == 0
+    t_star_0 = [float(line.split(",")[3]) for line in out.read_text().splitlines()[1:]]
+    assert t_star_0 and all(0.0 < t < math.inf for t in t_star_0)
+
+
 @pytest.mark.parametrize("task", ["rate", "zeros", "critical-modes", "variant-report", "sweep"])
 def test_steps_above_the_cap_exit_2_before_any_time_grid(tmp_path, capsys, monkeypatch, task):
     def no_grid(cfg):
@@ -722,6 +764,32 @@ def test_the_n_max_cap_is_inclusive(tmp_path, capsys, monkeypatch):
     assert main([*common, "--n-max", "5", "--out", str(tmp_path / "a.csv")]) == 0
     argv = [*common, "--n-max", "6", "--out", str(tmp_path / "b.csv")]
     assert_exit_2_writes_nothing(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "branch", ["10000001", "-10000001", "1" + "0" * 400], ids=["above", "below", "1e400"]
+)
+def test_a_branch_beyond_the_ladder_cap_exits_2_before_any_zero_line(
+    tmp_path, capsys, monkeypatch, branch
+):
+    def no_line(*args):
+        raise AssertionError("a Fisher zero line was built")
+
+    monkeypatch.setattr("dqpt.cli.fisher_zero_line", no_line)
+    argv = ["zeros", "--branch", "0", "--branch", branch, "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"dqpt: branch must be between -10000000 and 10000000, got {branch}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_branch_cap_is_inclusive(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("dqpt.cli._MAX_STEPS", 5)
+    common = ["zeros", "--k-resolution", "64", "--steps", "5"]
+    assert main([*common, "--branch", "5", "--branch", "-5", "--out", str(tmp_path / "a.csv")]) == 0
+    for branch in ("6", "-6"):
+        argv = [*common, "--branch", branch, "--out", str(tmp_path / "b.csv")]
+        assert_exit_2_writes_nothing(tmp_path, capsys, argv)
 
 
 @pytest.mark.parametrize("task", ["rate", "rate-finite", "echo-decomposition", "sweep"])
@@ -1034,17 +1102,6 @@ def test_a_pooled_sweep_removes_temporaries_only_in_its_failed_cells(
     assert manifest["cell_error.3"] == f"{_KILLED}: RuntimeError: killed"
     assert capsys.readouterr().err == f"dqpt: sweep: failed cell {_KILLED}: RuntimeError: killed\n"
     assert sorted(out.rglob("*.tmp")) == sorted(keep)
-
-
-SMALL_TASKS = {  # every single task, at sizes that run in milliseconds
-    "rate": ["--steps", "11"],
-    "rate-finite": ["--n-sites", "20", "--steps", "11"],
-    "zeros": ["--k-resolution", "64", "--branch", "0", "--branch", "1"],
-    "critical-modes": [],
-    "winding": ["--steps", "5"],
-    "echo-decomposition": ["--n-sites", "20", "--steps", "11"],
-    "variant-report": [],
-}
 
 
 @pytest.mark.parametrize("task", sorted(SMALL_TASKS))

@@ -9,9 +9,11 @@ numpy.polynomial unloaded.  The time blocks
 of the echo loops and their 64-byte-aligned buffers are decided in one
 place: _BLOCK_BYTES and _aligned_empty are named only in mode_dynamics,
 which defines the buffers, and observables, whose _echo_blocks is the one
-function that allocates echo buffers.  Every private name README.md puts
-in backticks still resolves: to a definition in src/dqpt, or to a name in
-the tests (the oracles keep some that the library has dropped).
+function that allocates echo buffers.  The task table _TASKS is read
+only in cli._write_task, which a task run and a sweep cell both call.
+Every private name README.md puts in backticks still resolves: to a
+definition in src/dqpt, or to a name in the tests (the oracles keep some
+that the library has dropped).
 """
 
 import ast
@@ -172,6 +174,26 @@ def test_block_size_and_aligned_buffers_are_named_in_one_place():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and "_aligned_empty" in named(node)
     }
     assert allocating == {"_echo_blocks"}
+
+
+def test_one_function_runs_the_task_handlers():
+    # _write_task is the one function that reads the task table, so a task
+    # run and a sweep cell share one handler call and one CSV writer
+    _, tree = parsed()["cli"]
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    reading = {fn.name for fn in functions if "_TASKS" in named(fn)}
+    assert reading == {"_write_task"}
+    assert {fn.name for fn in functions if "_write_task" in named(fn)} == {
+        "_write_task",
+        "_run_task",
+        "_sweep_cell",
+    }
+    # the rows of every CSV, the sweep index's too, go through one loop
+    assert {fn.name for fn in functions if "_write_csv" in named(fn)} == {
+        "_write_csv",
+        "_write_task",
+        "_run_sweep",
+    }
 
 
 def defined(tree):

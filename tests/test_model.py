@@ -185,6 +185,9 @@ class TestQuenchProtocol:
             dict(lambda_pre=0.5, lambda_post=2.0, beta=1.0, coupling=-2.0),
             dict(lambda_pre=0.5, lambda_post=2.0, beta=1.0, coupling=1e308),
             dict(lambda_pre=2.0, lambda_post=0.5, beta=1.0, coupling=1e308),
+            # twice the energy bound overflows: t*_0 would be 0, the mixing angle inf
+            dict(lambda_pre=0.5, lambda_post=1e308, beta=10.0),
+            dict(lambda_pre=1.7e308, lambda_post=2.0, beta=10.0, phi=0.0, coupling=0.5),
         ],
     )
     def test_rejects_invalid_fields(self, kwargs):
@@ -196,6 +199,13 @@ class TestQuenchProtocol:
         # every mode energy is at most coupling * (max(lambda_pre, lambda_post) + 1)
         p = QuenchProtocol(*lambdas, 1.0, coupling=1e300)
         assert dispersion(math.pi, max(lambdas), p.coupling) == 3e300
+
+    @pytest.mark.parametrize("lambdas", [(0.5, 8e307), (8e307, 0.5)])
+    def test_a_field_whose_doubled_energy_bound_stays_finite_is_accepted(self, lambdas):
+        p = QuenchProtocol(*lambdas, 10.0)
+        k = np.linspace(0.1, math.pi, 8)
+        assert np.isfinite(2.0 * dispersion(k, max(lambdas), p.coupling)).all()
+        assert np.isfinite(bogoliubov_angle(k, max(lambdas))).all()
 
     def test_immutable(self):
         p = QuenchProtocol(0.5, 2.0, 10.0)

@@ -298,7 +298,10 @@ class RunManifest:
 
 @contextlib.contextmanager
 def _atomic_open(path: str):
-    """Text file that appears at path only once it is completely written."""
+    """Text file that appears at path only once it is completely written; a
+    directory at path is refused before the .tmp opens, so before any work."""
+    if os.path.isdir(path):  # a .tmp would open; only its rename would fail
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -319,8 +322,8 @@ def _write_csv(fh, header: str, template: str, rows) -> int:
     return count
 
 
-def _write_manifest(path: str, cfg: RunConfig, started: float, entries, warnings=(), tail=()):
-    """Version, resolved config, entries, warnings, tail, then the duration."""
+def _write_manifest(fh, cfg: RunConfig, started: float, entries, warnings=(), tail=()):
+    """Version, resolved config, entries, warnings, tail, then the duration, into fh."""
     manifest = RunManifest()
     manifest.add("version", __version__)
     for f in dataclasses.fields(RunConfig):
@@ -337,8 +340,7 @@ def _write_manifest(path: str, cfg: RunConfig, started: float, entries, warnings
     for key, value in tail:
         manifest.add(key, value)
     manifest.add("duration_seconds", time.perf_counter() - started)
-    with _atomic_open(path) as fh:
-        fh.write(manifest.to_text())
+    fh.write(manifest.to_text())
 
 
 # ---------------------------------------------------------------------------
@@ -501,15 +503,12 @@ def _write_task(task: str, cfg: RunConfig, path: str, warnings: list, **kwargs):
 def _run_task(cfg: RunConfig) -> int:
     started = time.perf_counter()
     out_path = cfg.out or cfg.task + ".csv"
-    for path in (out_path, out_path + ".manifest"):  # a .tmp opens; only its rename would fail
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     warnings: list = []
-    _, count, diag, degraded, *seconds = _write_task(cfg.task, cfg, out_path, warnings)
-    entries = [("output", out_path), ("rows", count), *diag]
-    entries += zip(("timing.task_s", "timing.csv_s"), seconds)
-    tail = [("degraded", degraded)]
-    _write_manifest(out_path + ".manifest", cfg, started, entries, warnings, tail)
+    with _atomic_open(out_path + ".manifest") as manifest:
+        _, count, diag, degraded, *seconds = _write_task(cfg.task, cfg, out_path, warnings)
+        entries = [("output", out_path), ("rows", count), *diag]
+        entries += zip(("timing.task_s", "timing.csv_s"), seconds)
+        _write_manifest(manifest, cfg, started, entries, warnings, [("degraded", degraded)])
     if degraded:
         print(f"dqpt: {cfg.task}: numerical degradation, see {out_path}.manifest", file=sys.stderr)
         return 3
@@ -531,23 +530,24 @@ def _sweep_cell(payload):
     os.makedirs(cell_dir, exist_ok=True)
     warnings: list = []
     in_cell = functools.partial(os.path.join, cell_dir)
-    cs, _, entries, _, *modes_s = _write_task(
-        "critical-modes", cfg, in_cell("critical_modes.csv"), warnings
-    )
-    # the sinh modes are the imbalance roots the rate's panels split at
-    roots = cs.modes if cfg.variant == "sinh" else None
-    series, _, rate_diag, degraded, *rate_s = _write_task(
-        "rate", cfg, in_cell("rate.csv"), warnings, roots=roots
-    )
-    cusps_started = time.perf_counter()
-    cusps = detect_cusps(series)
-    seconds = (sum(modes_s), sum(rate_s), time.perf_counter() - cusps_started)
+    with _atomic_open(in_cell("cell.manifest")) as manifest:
+        cs, _, entries, _, *modes_s = _write_task(
+            "critical-modes", cfg, in_cell("critical_modes.csv"), warnings
+        )
+        # the sinh modes are the imbalance roots the rate's panels split at
+        roots = cs.modes if cfg.variant == "sinh" else None
+        series, _, rate_diag, degraded, *rate_s = _write_task(
+            "rate", cfg, in_cell("rate.csv"), warnings, roots=roots
+        )
+        cusps_started = time.perf_counter()
+        cusps = detect_cusps(series)
+        seconds = (sum(modes_s), sum(rate_s), time.perf_counter() - cusps_started)
+        entries += [*rate_diag, ("cusps.count", len(cusps))]
+        entries += [(f"cusps.{i}", c) for i, c in enumerate(cusps)]
+        entries += zip(("timing.critical_modes_s", "timing.rate_s", "timing.cusps_s"), seconds)
+        _write_manifest(manifest, cfg, started, entries, warnings)
 
     first_time = min((float(ladder[0]) for ladder in cs.times), default=math.nan)
-    entries += [*rate_diag, ("cusps.count", len(cusps))]
-    entries += [(f"cusps.{i}", c) for i, c in enumerate(cusps)]
-    entries += zip(("timing.critical_modes_s", "timing.rate_s", "timing.cusps_s"), seconds)
-    _write_manifest(in_cell("cell.manifest"), cfg, started, entries, warnings)
 
     name = os.path.basename(cell_dir)
     row = (name, cfg.beta, cfg.phi, cfg.lambda_post, len(cs.modes), first_time, len(cusps))
@@ -645,31 +645,31 @@ def _run_sweep(cfg: RunConfig) -> int:
             raise ConfigError(f"cell {name}: {exc}") from None
         payloads.append((cell_cfg, os.path.join(out_dir, name)))
     os.makedirs(out_dir, exist_ok=True)  # only once every cell is valid: exit 2 writes nothing
-
-    workers = min(cfg.jobs, len(payloads))  # a pool forks all its workers up front
-    if workers > 1:
-        results = _pooled_outcomes(payloads, workers)
-    else:
-        results = [_cell_outcome(p[1], functools.partial(_sweep_cell, p)) for p in payloads]
-
-    # the index is written only once every cell has finished; a failed cell has no row
-    rows = [row for row, _, _, error in results if error is None]
-    with _atomic_open(os.path.join(out_dir, "index.csv")) as fh:
-        _write_csv(fh, *_INDEX, rows)
-    degraded = sum(bad for _, bad, _, _ in results)
-    errors = [(i, error) for i, (*_, error) in enumerate(results) if error]
-    # a dead worker makes the pool kill the rest, maybe mid-write; only failed cells hold a .tmp
-    for i, _ in errors:
-        for tmp in glob.glob(os.path.join(glob.escape(payloads[i][1]), "*.tmp")):
-            os.remove(tmp)
-    entries = [("cells", len(cells)), ("degraded_cells", degraded), ("failed_cells", len(errors))]
-    # cell names hold '=', so the key is the cell's position and a failure's value names it
-    for i, (_, bad, seconds, error) in enumerate(results):
-        if error:
-            entries.append((f"cell_error.{i}", error))
-        else:
-            entries += [(f"cell_seconds.{i}", seconds), (f"cell_degraded.{i}", bad)]
-    _write_manifest(os.path.join(out_dir, "sweep.manifest"), cfg, started, entries)
+    # both open before the first cell; pool workers inherit them, so no byte goes
+    # in until the last cell has finished.  A failed cell has no index row
+    with _atomic_open(os.path.join(out_dir, "sweep.manifest")) as manifest:
+        with _atomic_open(os.path.join(out_dir, "index.csv")) as fh:
+            workers = min(cfg.jobs, len(payloads))  # a pool forks all its workers up front
+            if workers > 1:
+                results = _pooled_outcomes(payloads, workers)
+            else:
+                results = [_cell_outcome(p[1], functools.partial(_sweep_cell, p)) for p in payloads]
+            _write_csv(fh, *_INDEX, [row for row, _, _, error in results if error is None])
+        degraded = sum(bad for _, bad, _, _ in results)
+        errors = [(i, error) for i, (*_, error) in enumerate(results) if error]
+        # a dead worker makes the pool kill the rest, maybe mid-write; only failed cells hold a .tmp
+        for i, _ in errors:
+            for tmp in glob.glob(os.path.join(glob.escape(payloads[i][1]), "*.tmp")):
+                os.remove(tmp)
+        entries = [("cells", len(cells)), ("degraded_cells", degraded)]
+        entries.append(("failed_cells", len(errors)))
+        # cell names hold '=', so the key is the cell's position and a failure's value names it
+        for i, (_, bad, seconds, error) in enumerate(results):
+            if error:
+                entries.append((f"cell_error.{i}", error))
+            else:
+                entries += [(f"cell_seconds.{i}", seconds), (f"cell_degraded.{i}", bad)]
+        _write_manifest(manifest, cfg, started, entries)
 
     for _, error in errors:
         print(f"dqpt: sweep: failed cell {error}", file=sys.stderr)

@@ -249,13 +249,18 @@ def _validate(cfg: RunConfig):
         raise ConfigError(str(exc)) from None
     if cfg.task not in ("rate", "rate-finite", "winding", "echo-decomposition", "sweep"):
         return  # the other tasks read no time grid
+    window = f"[{cfg.t_min}, {cfg.t_max}] in {cfg.steps} steps"
+    # every mode energy is at most coupling * (lambda_post + 1); a sweep takes its largest
+    posts = (cfg.lambda_post_list or ()) if cfg.task == "sweep" else ()
+    lam = max(filter(math.isfinite, posts), default=cfg.lambda_post)  # its cells reject the rest
+    if not math.isfinite(max(abs(cfg.t_min), abs(cfg.t_max)) * cfg.coupling * (lam + 1.0)):
+        raise ConfigError(f"time window {window}: the phases eps*t overflow at lambda_post {lam}")
     try:  # the grid must pass the library's own checks: increasing, and uniform for cusps
         with np.errstate(all="ignore"):  # an overflowing window gives NaN times, rejected here
             grid = RateSeries(_times(cfg), np.zeros(cfg.steps), protocol)
         if cfg.task == "sweep":
             detect_cusps(grid)
     except ValueError as exc:
-        window = f"[{cfg.t_min}, {cfg.t_max}] in {cfg.steps} steps"
         raise ConfigError(f"time window {window}: {exc}") from None
 
 

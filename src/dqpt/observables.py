@@ -643,19 +643,13 @@ def detect_cusps(series: RateSeries):
         background = np.where(count > 0, np.where(count % 2, lo, (lo + hi) / 2.0), 0.0)
         fired = candidates[abs_d2[candidates] > _CUSP_RATIO * np.maximum(background, floor)]
 
-    marked = sorted(set(fired.tolist()) | set(np.nonzero(~finite)[0].tolist()))
-    if not marked:
+    # fired or non-finite, ascending: a mask, as np.union1d's np.unique loads numpy.ma (1 MB RSS)
+    marked = np.flatnonzero(~finite | (np.bincount(fired, minlength=n) > 0))
+    if not marked.size:
         return []
 
     score = np.where(np.isfinite(abs_d2), abs_d2, 0.0)
     score[~finite] = math.inf
-    cusps = []
-    group = [marked[0]]
-    for i in marked[1:]:
-        if i - group[-1] <= 2:
-            group.append(i)
-        else:
-            cusps.append(group)
-            group = [i]
-    cusps.append(group)
-    return [float(t[max(g, key=lambda j: (score[j], -j))]) for g in cusps]
+    # marks at most 2 apart form one cluster; argmax keeps the first of equal scores
+    clusters = np.split(marked, np.nonzero(np.diff(marked) > 2)[0] + 1)
+    return [float(t[c[np.argmax(score[c])]]) for c in clusters]

@@ -570,6 +570,49 @@ def assert_exit_2_writes_nothing(tmp_path, capsys, argv):
     return err
 
 
+@pytest.mark.parametrize(
+    "argv,config,message",
+    [
+        (["rate", "--steps", "abc"], None, "cannot parse integer 'abc'"),
+        (["sweep"], "beta_list = ,\n", "empty list value ','"),
+        (["rate"], "variant = foo\n", "variant must be sinh or tanh, got 'foo'"),  # no choices
+        (["zeros", "--branch", ","], None, "need at least one branch"),
+    ],
+    ids=["integer", "list", "variant", "branch"],
+)
+def test_a_bad_value_exits_2_with_its_message(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+        argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+    err = assert_exit_2_writes_nothing(tmp_path, capsys, [*argv, "--out", str(tmp_path / "x")])
+    assert err == f"dqpt: {message}\n"
+
+
+def test_rate_finite_flags_an_exact_amplitude_zero_and_exits_3(tmp_path, capsys, monkeypatch):
+    import dqpt.observables
+
+    rate_from_echoes = dqpt.observables._finite_rate_from_mode_echoes
+    zeroed = []
+
+    def one_zero(echoes, n_sites):  # the first mode's echo at the last time of the first block
+        if not zeroed:
+            echoes[-1, 0] = 0.0
+            zeroed.append(1)
+        return rate_from_echoes(echoes, n_sites)
+
+    monkeypatch.setattr(dqpt.observables, "_finite_rate_from_mode_echoes", one_zero)
+    out = tmp_path / "f.csv"
+    assert main(["rate-finite", "--n-sites", "4", "--steps", "3", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"dqpt: rate-finite: numerical degradation, see {out}.manifest\n"
+    _, rows = read_rows(out)
+    assert [row[1:] for row in rows if row[2] == "1"] == [["inf", "1"]]
+    manifest = dict(RunManifest.from_text((tmp_path / "f.csv.manifest").read_text()).entries)
+    assert manifest["rate_finite.singular_rows"] == "1"
+    assert manifest["warning.0"] == "1 finite-size samples hit an exact amplitude zero"
+    assert manifest["degraded"] == "1"
+
+
 SMALL_TASKS = {  # every single task, at sizes that run in milliseconds
     "rate": ["--steps", "11"],
     "rate-finite": ["--n-sites", "20", "--steps", "11"],
@@ -604,6 +647,28 @@ def test_an_unwritable_out_exits_2_before_the_handler_runs(
     assert f"'{out}" in err  # the path, its .tmp in a missing directory, or its manifest
     assert calls == []
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "m.csv.manifest"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name", ["index.csv", "sweep.manifest"])
+def test_a_sweep_output_that_is_a_directory_exits_2_before_any_cell(
+    tmp_path, capsys, monkeypatch, name, jobs
+):
+    import dqpt.cli
+
+    def no_cell(payload):  # a pool pickles this by name, so it stays a plain raise
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(dqpt.cli, "_sweep_cell", no_cell)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("beta_list = 10, 0.1\nsteps = 11\n", encoding="utf-8")
+    (tmp_path / "out" / name).mkdir(parents=True)
+    argv = ["sweep", "--config", str(cfg), "--jobs", jobs, "--out", str(tmp_path / "out")]
+    err = assert_exit_2_writes_nothing(tmp_path, capsys, argv)
+    directory = tmp_path / "out" / name
+    assert err == f"dqpt: sweep: cannot write output: [Errno 21] Is a directory: '{directory}'\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(["s.cfg", "out", name])
 
 
 def test_rate_below_a_regular_file_exits_2(tmp_path, capsys):
@@ -649,9 +714,10 @@ def test_sweep_cells_sharing_a_directory_name_exit_2(tmp_path, capsys, betas):
 
 # windows whose linspace floating point cannot make strictly increasing: two
 # steps one ulp apart repeat a time, and a span past the largest float
-# overflows to NaN times, rejected as not finite
+# overflows to NaN times, rejected as not finite (at lambda_post 0 the mode
+# energies stay below 1, so the phases of the window's ends do not overflow)
 ULP_WINDOW = ["--t-min", "1", "--t-max", "1.0000000000000002", "--steps", "3"]
-OVERFLOW_WINDOW = ["--t-min", "-1e308", "--t-max", "1e308", "--steps", "3"]
+OVERFLOW_WINDOW = ["--t-min", "-1e308", "--t-max", "1e308", "--steps", "3", "--lambda-post", "0"]
 
 
 @pytest.mark.parametrize(
@@ -682,6 +748,34 @@ def test_a_time_grid_that_is_not_increasing_names_its_window(tmp_path, capsys):
         "dqpt: time window [1.0, 1.0000000000000002] in 3 steps: "
         "times must be strictly increasing\n"
     )
+
+
+@pytest.mark.parametrize("task", ["rate", "rate-finite", "winding", "echo-decomposition", "sweep"])
+def test_a_window_whose_phases_overflow_exits_2_naming_it(tmp_path, capsys, task):
+    # every mode energy is at most coupling * (lambda_post + 1) = 3: 6.5e307 * 3 overflows
+    argv = [task, "--t-max", "6.5e307", "--steps", "5", "--n-sites", "2"]
+    err = assert_exit_2_writes_nothing(tmp_path, capsys, [*argv, "--out", str(tmp_path / "x")])
+    assert err == (
+        "dqpt: time window [0.0, 6.5e+307] in 5 steps:"
+        " the phases eps*t overflow at lambda_post 2.0\n"
+    )
+
+
+def test_a_window_whose_phases_stay_finite_runs_without_numpy_warnings(tmp_path, capsys):
+    # 5e307 * 3 is finite: the bound rejects no window it need not
+    argv = ["rate-finite", "--t-max", "5e307", "--steps", "5", "--n-sites", "2"]
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_sweep_bounds_the_phases_at_its_largest_lambda_post(tmp_path, capsys):
+    # 1e308 * (0.5 + 1) is finite, 1e308 * (2 + 1) is not
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("lambda_post_list = 0.5, 2\n", encoding="utf-8")
+    argv = ["sweep", "--config", str(cfg), "--lambda-post", "0.5", "--t-max", "1e308",
+            "--steps", "5", "--out", str(tmp_path / "never")]
+    err = assert_exit_2_writes_nothing(tmp_path, capsys, argv)
+    assert err.endswith("the phases eps*t overflow at lambda_post 2.0\n")
 
 
 def test_a_sweep_over_a_non_uniform_time_grid_exits_2(tmp_path, capsys):

@@ -11,6 +11,8 @@ place: _BLOCK_BYTES and _aligned_empty are named only in mode_dynamics,
 which defines the buffers, and observables, whose _echo_blocks is the one
 function that allocates echo buffers.  The task table _TASKS is read
 only in cli._write_task, which a task run and a sweep cell both call.
+Every output file of the CLI opens in cli._atomic_open, the one place
+that refuses a directory.
 Every private name README.md puts in backticks still resolves: to a
 definition in src/dqpt, or to a name in the tests (the oracles keep some
 that the library has dropped).
@@ -194,6 +196,48 @@ def test_one_function_runs_the_task_handlers():
         "_write_task",
         "_run_sweep",
     }
+
+
+def writes(tree):
+    """Whether a tree opens a file for writing: open() with a mode that is not
+    read-only, or a Path's write_text/write_bytes."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
+        if name in ("write_text", "write_bytes"):
+            return True
+        modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+        if name == "open" and any(
+            not (isinstance(m, ast.Constant) and set(str(m.value)) <= set("rbt")) for m in modes
+        ):
+            return True
+    return False
+
+
+def test_one_function_opens_every_output_and_refuses_a_directory():
+    # every file a task, a sweep cell or a sweep writes opens through
+    # _atomic_open, which refuses a directory before its .tmp opens; a
+    # writer that opens its files before its work then fails before it
+    _, tree = parsed()["cli"]
+    checking = {"IsADirectoryError", "isdir"}
+    top = {getattr(node, "name", "<module>"): node for node in tree.body}
+    assert {name for name, node in top.items() if checking & named(node)} == {"_atomic_open"}
+    assert {name for name, node in top.items() if writes(node)} == {"_atomic_open"}
+
+
+def test_the_writer_finder_sees_each_way_to_write():
+    source = (
+        "def a(p):\n    open(p, 'w')\n"
+        "def b(p):\n    open(p, mode='ab')\n"
+        "def c(p):\n    p.write_text('')\n"
+        "def d(p, m):\n    open(p, m)\n"
+        "def e(p):\n    open(p)\n"
+        "def f(p):\n    open(p, 'rb')\n"
+        "def g(p):\n    open(p, encoding='utf-8')\n"
+    )
+    tree = ast.parse(source)
+    assert [fn.name for fn in tree.body if writes(fn)] == ["a", "b", "c", "d"]
 
 
 def defined(tree):

@@ -64,8 +64,12 @@ def _fmt(x) -> str:
 _INF_WORDS = {"inf", "infinity", "infinite"}
 _MAX_STEPS = 10**7  # time grid length (80 MB of times) and ladder length
 _MIN_TOL = 1e-15  # rate tolerance: below it float64 rounding keeps samples refining to the cap
-_MAX_SITES = 10**7  # chain length: 40 MB per mode array
-_MAX_K_RESOLUTION = 10**7  # zeros and winding base grid: 80 MB per array
+# chain length: 40 MB per mode array; at the cap a fresh process peaks at 261 MB
+# RSS for rate-finite and 796 MB for echo-decomposition at 2 steps (README Memory)
+_MAX_SITES = 10**7
+# zeros and winding base grid: 80 MB per array; at the cap a fresh process peaks
+# at 1.34 GB RSS for zeros (one branch) and 1.03 GB for winding at 2 steps
+_MAX_K_RESOLUTION = 10**7
 _MAX_ECHO_ROWS = 10**8  # echo-decomposition rows, steps x n_sites/2: about 7 GB of CSV
 _MAX_CELLS = 10**4  # sweep cells
 _MAX_JOBS = 64  # sweep worker processes: a pool forks all of them at its first submit
@@ -205,6 +209,10 @@ def _resolve_config(args) -> RunConfig:
 def _validate(cfg: RunConfig):
     if cfg.task not in TASKS:
         raise ConfigError(f"unknown task {cfg.task!r}")
+    if cfg.task != "sweep":  # a sweep's axes would be ignored, and recorded as if read
+        for name in ("beta_list", "phi_list", "lambda_post_list"):
+            if getattr(cfg, name) is not None:
+                raise ConfigError(f"{name} is a sweep axis: only sweep reads it, not {cfg.task}")
     if cfg.variant not in VARIANTS:
         raise ConfigError(f"variant must be {' or '.join(VARIANTS)}, got {cfg.variant!r}")
     if cfg.steps < 2:
@@ -348,6 +356,18 @@ def _write_manifest(fh, cfg: RunConfig, started: float, entries, warnings=(), ta
     fh.write(manifest.to_text())
 
 
+# rows turned into Python values at a time: a whole column's would cost about
+# 32 bytes a value (a float and its list slot) on top of the column itself
+_ROW_CHUNK = 4096
+
+
+def _column_rows(*columns):
+    """The rows of equal-length 1-d arrays, as tuples of Python values,
+    converted _ROW_CHUNK rows at a time."""
+    for lo in range(0, len(columns[0]), _ROW_CHUNK):
+        yield from zip(*(c[lo : lo + _ROW_CHUNK].tolist() for c in columns))
+
+
 # ---------------------------------------------------------------------------
 # task handlers: each returns (result, rows, diagnostics, degraded).  result is
 # the library object the rows come from (None where there is no single one; a
@@ -368,7 +388,7 @@ def _task_rate(cfg, warnings, roots=None):
     timing += [(f"timing.{s}_s", diag_in.pop(f"{s}_seconds")) for s in ("bulk", "refine")]
     diag += [("rate." + key, value) for key, value in diag_in.items()]
     diag += [("rate.singular_rows", singular), *timing]
-    return series, zip(*(c.tolist() for c in columns)), diag, singular > 0
+    return series, _column_rows(*columns), diag, singular > 0
 
 
 def _task_rate_finite(cfg, warnings):
@@ -378,29 +398,28 @@ def _task_rate_finite(cfg, warnings):
     singular = int(bad.sum())
     if singular:
         warnings.append(f"{singular} finite-size samples hit an exact amplitude zero")
-    rows = zip(series.times.tolist(), series.values.tolist(), bad.tolist())
     diag = [("blocks.threads", diag_in["block_threads"]), ("rate_finite.singular_rows", singular)]
-    return series, rows, diag, singular > 0
+    return series, _column_rows(series.times, series.values, bad), diag, singular > 0
 
 
 def _task_zeros(cfg, warnings):
     protocol = _protocol(cfg)
     k = _base_grid(cfg.k_resolution)
     coeffs = mode_coefficients(protocol, k)  # shared by every branch
-    rows = []
+    branches = []
     worst = 0.0
     for n in cfg.branches:
         line = fisher_zero_line(protocol, n, k, coeffs)
         res = np.abs(boundary_partition(line.coefficients, line.zeros))
         worst = float(res.max(initial=worst))
         columns = (line.momenta, line.zeros.real, line.zeros.imag, res)
-        rows.extend(zip(itertools.repeat(n), *(c.tolist() for c in columns)))
+        branches.append(_column_rows(np.broadcast_to(n, res.shape), *columns))
         if line.skipped.size:  # one warning per branch: every sample can be skipped
             warnings.append(
                 f"branch {n}: {line.skipped.size} samples skipped (vanishing weight),"
                 f" the first at k={_fmt(line.skipped[0])}"
             )
-    return None, rows, [("zeros.max_residual", worst)], False
+    return None, itertools.chain(*branches), [("zeros.max_residual", worst)], False
 
 
 def _task_critical_modes(cfg, warnings):
@@ -454,8 +473,11 @@ def _task_echo_decomposition(cfg, warnings):
             echo = mode_echo(imbalance, eps, tb[:, None], echo_out[:n], work[:n])
             null = mode_echo(null_imbalance, eps, tb[:, None], null_out[:n], work[:n])
             for t, echo_t, null_t in zip(tb.tolist(), echo, null):
-                columns = (echo_t.tolist(), null_t.tolist(), (echo_t - null_t).tolist())
-                yield from zip(itertools.repeat("%.17g" % t), k_text, *columns)
+                t_text = itertools.repeat("%.17g" % t)
+                for lo in range(0, eps.size, _ROW_CHUNK):  # Python values for _ROW_CHUNK modes
+                    e, z = echo_t[lo : lo + _ROW_CHUNK], null_t[lo : lo + _ROW_CHUNK]
+                    columns = (e.tolist(), z.tolist(), (e - z).tolist())
+                    yield from zip(t_text, k_text[lo : lo + _ROW_CHUNK], *columns)
 
     return None, rows(), [("echo.rows", times.size * momenta.size)], False
 
@@ -501,7 +523,9 @@ def _write_task(task: str, cfg: RunConfig, path: str, warnings: list, **kwargs):
         result, rows, diag, degraded = handler(cfg, warnings, **kwargs)
         handled = time.perf_counter()
         count = _write_csv(fh, header, template, rows)
-    # streamed rows (echo-decomposition's) are computed while the CSV is written
+    # streamed rows are made while the CSV is written, so the CSV seconds hold
+    # echo-decomposition's echoes and, for rate, rate-finite and zeros, the
+    # conversion of their columns to Python values (_column_rows)
     return result, count, diag, degraded, handled - started, time.perf_counter() - handled
 
 

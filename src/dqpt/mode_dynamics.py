@@ -86,14 +86,23 @@ class ModeCoefficients:
         return self._weights[1]
 
 
+# momenta per mode_coefficients slice: an input above it is taken in slices of
+# this many, so its temporaries cost O(_CHUNK), not a mode array each
+_CHUNK = 8192
+
+
 def mode_coefficients(protocol: QuenchProtocol, k) -> ModeCoefficients:
     """Energies, angle difference and imbalance at k; the eigenbasis weights
     follow on first read (ModeCoefficients).
 
     The Boltzmann factors are normalized by the dominant one before any
     exponential is taken, so every beta up to and including math.inf stays
-    in range and the ground-state limit is exact.
+    in range and the ground-state limit is exact.  An array of more than
+    _CHUNK momenta is taken in slices (_sliced_coefficients), every bit the
+    same.
     """
+    if getattr(k, "size", 1) > _CHUNK:  # no np.size: 1 us a call on a float
+        return _sliced_coefficients(protocol, k)
     # the formulas of dispersion and delta_theta on one cos k and sin k;
     # each field's terms are dropped before the next field's are made
     cos_k = np.cos(k)
@@ -117,6 +126,24 @@ def mode_coefficients(protocol: QuenchProtocol, k) -> ModeCoefficients:
     if np.ndim(k) == 0:
         return ModeCoefficients(*map(float, fields), beta_phi)
     return ModeCoefficients(*fields, beta_phi)
+
+
+def _sliced_coefficients(protocol: QuenchProtocol, k) -> ModeCoefficients:
+    """mode_coefficients of k, _CHUNK momenta at a time: each slice's four
+    fields are copied into arrays of k's shape, so only one slice's
+    temporaries are alive at once.  The formulas are elementwise, so the
+    bits are those of one call."""
+    flat = np.ravel(k)
+    fields = None
+    for lo in range(0, flat.size, _CHUNK):
+        part = mode_coefficients(protocol, flat[lo : lo + _CHUNK])
+        values = (part.eps_pre, part.eps_post, part.delta_theta, part.imbalance)
+        if fields is None:  # the dtypes one call would give
+            fields = [np.empty(flat.size, dtype=v.dtype) for v in values]
+        for out, v in zip(fields, values):
+            out[lo : lo + _CHUNK] = v
+    fields = [out.reshape(np.shape(k)) for out in fields]
+    return ModeCoefficients(*fields, (protocol.beta, protocol.phi))
 
 
 def mode_amplitude(coeffs: ModeCoefficients, t):

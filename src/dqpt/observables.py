@@ -103,9 +103,9 @@ def _echo_blocks(fn, eps_post, times, imbalance, diagnostics=None):
     are copied once, at 64-byte-aligned addresses (_aligned_empty).  The
     blocks run on min(CPUs, _ROUND_BLOCKS, blocks) threads: the calling
     thread and, on more than one, a pool that lives for the call, each with
-    its own echo and work buffers allocated once per call.  fn may
-    overwrite its echo in place; what it returns must not be a view of it,
-    which the thread reuses for its next block.
+    its own echo and work buffers allocated once per call, as the first
+    round starts.  fn may overwrite its echo in place; what it returns must
+    not be a view of it, which the thread reuses for its next block.
 
     Rounds of _ROUND_BLOCKS blocks are dealt out in turn; a round's results
     are yielded only once all of them are in, so the caller's own work
@@ -129,16 +129,17 @@ def _echo_blocks(fn, eps_post, times, imbalance, diagnostics=None):
     if diagnostics is not None:
         diagnostics["block_threads"] = threads
     shape = (min(block, times.size), *eps.shape)
-    slots = [(_aligned_empty(shape), _aligned_empty(shape)) for _ in range(threads)]
 
-    def step(slot, lo):
-        out, work = slots[slot]
+    def step(buffers, lo):
+        out, work = buffers
         tb = times[lo : lo + block]
         n = tb.size
         t = tb.reshape((n,) + (1,) * eps.ndim)
         return fn(lo, tb, mode_echo(imbalance, eps, t, out[:n], work[:n]))
 
     def rounds():
+        # allocated as the first round starts, once the caller has dropped what it no longer needs
+        slots = [(_aligned_empty(shape), _aligned_empty(shape)) for _ in range(threads)]
         if threads > 1:
             from concurrent.futures import ThreadPoolExecutor  # (and logging: for 2+ threads)
         with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
@@ -147,7 +148,7 @@ def _echo_blocks(fn, eps_post, times, imbalance, diagnostics=None):
                 # slot s takes every threads-th block of the round from the s-th; the
                 # caller runs slot 0, the pool the others in a copy of its context
                 dealt = [
-                    map(functools.partial(step, s), round_[s::threads])
+                    map(functools.partial(step, slots[s]), round_[s::threads])
                     for s in range(min(threads, len(round_)))
                 ]
                 tasks = [pool.submit(copy_context().run, list, blocks) for blocks in dealt[1:]]
@@ -440,13 +441,16 @@ def compute_rate_series_finite(
     given, receives the number of block threads (block_threads)."""
     times = _check_times(times)
     coeffs = mode_coefficients(protocol, mode_grid(n_sites).momenta)
+    eps_post, imbalance = coeffs.eps_post, coeffs.imbalance
+    del coeffs  # eps_pre and delta_theta: the blocks read only eps' and A
     values = np.empty(times.size)
 
     def fill(lo, tb, echo):  # on a block thread
         rates = _finite_rate_from_mode_echoes(echo, n_sites)
         values[lo : lo + tb.size] = rates
 
-    blocks = _echo_blocks(fill, coeffs.eps_post, times, coeffs.imbalance, diagnostics=diagnostics)
+    blocks = _echo_blocks(fill, eps_post, times, imbalance, diagnostics=diagnostics)
+    del eps_post, imbalance  # the blocks hold their aligned copies
     for _ in blocks:
         pass
     return RateSeries(times=times, values=values, protocol=protocol)

@@ -6,11 +6,12 @@ tests/test_golden_digests.py checks every CLI output against.
 The runs are the four configs/fig*.cfg sweeps, perfbench's finite_grid jobs
 and the first 8 protocols x 4 tasks of its topology_scan jobs at seed 1,
 rate and rate-finite at their defaults, echo-decomposition at
---n-sites 2 --steps 10000, and zeros and variant-report at the edges of the
-eigenbasis weights.  Their argument lists are written into the file,
-so that an edit to the benchmark's inputs cannot change what the gate runs;
-when the file exists, its runs are kept and only the digests, exit codes
-and platform fingerprint are rewritten.
+--n-sites 2 --steps 10000, zeros and variant-report at the edges of the
+eigenbasis weights, and zeros and winding on grids that cross
+mode_coefficients' slice and the CLI's row chunk.  Their argument lists
+are written into the file, so that an edit to the benchmark's inputs
+cannot change what the gate runs; when the file exists, its runs are kept
+and only the digests, exit codes and platform fingerprint are rewritten.
 
 A change that means to move output bits reports its moves in two steps:
 run the script with --keep on the old library and again on the new one,
@@ -87,7 +88,12 @@ def default_runs() -> list:
         "variant-report --lambda-pre 1.5 --lambda-post 2 --beta 0.1 --phi -1.5707963267948966"
         " --out {out}/variant-report-fig4.csv",
     ]
-    return figs + _benchmark_runs() + tasks + weights
+    # grids above mode_dynamics._CHUNK momenta and cli._ROW_CHUNK rows
+    chunks = [
+        "zeros --k-resolution 20000 --branch 0 --branch 1 --out {out}/zeros-chunks.csv",
+        "winding --k-resolution 10000 --steps 11 --out {out}/winding-chunks.csv",
+    ]
+    return figs + _benchmark_runs() + tasks + weights + chunks
 
 
 def _csv_paths(root) -> set:

@@ -577,8 +577,20 @@ def assert_exit_2_writes_nothing(tmp_path, capsys, argv):
         (["sweep"], "beta_list = ,\n", "empty list value ','"),
         (["rate"], "variant = foo\n", "variant must be sinh or tanh, got 'foo'"),  # no choices
         (["zeros", "--branch", ","], None, "need at least one branch"),
+        # a sweep's axes given to a single task, which would ignore them
+        (
+            ["rate"],
+            "beta_list = 1, 0.1\n",
+            "beta_list is a sweep axis: only sweep reads it, not rate",
+        ),
+        (["zeros"], "phi_list = 0\n", "phi_list is a sweep axis: only sweep reads it, not zeros"),
+        (
+            ["rate-finite"],
+            "lambda_post_list = 2\n",
+            "lambda_post_list is a sweep axis: only sweep reads it, not rate-finite",
+        ),
     ],
-    ids=["integer", "list", "variant", "branch"],
+    ids=["integer", "list", "variant", "branch", "beta_list", "phi_list", "lambda_post_list"],
 )
 def test_a_bad_value_exits_2_with_its_message(tmp_path, capsys, argv, config, message):
     if config is not None:

@@ -115,7 +115,8 @@ def test_table_keys_flags_and_defaults_are_unchanged():
 def test_file_key_parses_to_a_non_default(tmp_path, name):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(f"{name} = {SAMPLES[name]}\n", encoding="utf-8")
-    value = getattr(resolve(["rate", "--config", str(cfg_file)]), name)
+    task = "sweep" if name.endswith("_list") else "rate"  # only a sweep takes its axes
+    value = getattr(resolve([task, "--config", str(cfg_file)]), name)
     assert value != EXPECTED[name][1]
 
 

@@ -165,3 +165,15 @@ def test_out_of_memory_mid_write_leaves_no_csv_and_no_temporary(tmp_path, capsys
         calls.clear()
         assert_clean_exit_2(tmp_path, capsys, argv)
         assert len(calls) == 5  # rows of two blocks went to the temporary first
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097])
+def test_column_rows_are_the_whole_columns_rows(n):
+    assert cli._ROW_CHUNK == 4096
+    x = np.random.default_rng(n).standard_normal(n)
+    columns = (x, x > 0.0, np.exp(x))
+    rows = cli._column_rows(*columns)
+    assert iter(rows) is rows  # converted as they are read
+    got = list(rows)
+    assert got == list(zip(*(c.tolist() for c in columns)))
+    assert all(type(r[0]) is float and type(r[1]) is bool for r in got)

@@ -16,7 +16,13 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dqpt import mode_echo, observables
+from dqpt import (
+    QuenchProtocol,
+    compute_rate_series_finite,
+    mode_coefficients,
+    mode_echo,
+    observables,
+)
 from dqpt.mode_dynamics import _aligned_empty
 from dqpt.observables import (
     _GL7_W,
@@ -264,3 +270,31 @@ def test_echo_into_given_buffers_allocates_no_row():
     out, work = _aligned_empty(modes), _aligned_empty(modes)
     assert traced_peak(lambda: mode_echo(a, eps, 0.7, out=out, work=work)) < row
     assert traced_peak(lambda: mode_echo(a, eps, 0.7)) >= 2 * row
+
+
+def test_many_momenta_cost_their_four_fields_and_one_slice():
+    # 2^18 momenta, 32 slices: the four 2 MB fields and one slice's
+    # temporaries; taken whole, about ten 2 MB temporaries were alive at once
+    k = np.linspace(1e-3, math.pi - 1e-3, 1 << 18)
+    protocol = QuenchProtocol(0.5, 2.0, 10.0, 0.3)
+    assert traced_peak(lambda: mode_coefficients(protocol, k)) < 4 * k.nbytes + (2 << 20)
+
+
+def test_the_finite_rate_holds_two_mode_arrays_and_its_block_buffers(monkeypatch):
+    # N = 2^18: 2^17 modes, 1 MB a mode array and one time a block.  On two
+    # block threads their four buffers outweigh the coefficients' own peak
+    # (the momenta, four fields and one slice), so the bound reads the blocks:
+    # the aligned eps' and A, and no other mode array, alongside the buffers
+    monkeypatch.setattr(observables, "_cpus", lambda: 2)
+    n_sites = 1 << 18
+    row = 8 * (n_sites // 2)
+    times = np.linspace(0.0, 4.0, 8)
+    protocol = QuenchProtocol(0.5, 2.0, 10.0, 0.3)
+    diagnostics = {}
+    peak = traced_peak(
+        lambda: compute_rate_series_finite(protocol, n_sites, times, diagnostics)
+    )
+    block = observables._times_per_block(np.empty(n_sites // 2))
+    buffers = diagnostics["block_threads"] * 2 * min(block, times.size) * row
+    assert diagnostics["block_threads"] == 2
+    assert peak < 2 * row + buffers + (1 << 20)

@@ -3,10 +3,11 @@
 tests/golden/digests.json holds the SHA-256 of every CSV that a fixed set
 of CLI runs writes: the four configs/fig*.cfg sweeps, the benchmark's
 finite_grid jobs and 8 of its topology_scan protocols (their command lines
-written into the file), and three tasks at small sizes.  A change that means
-to move output bits regenerates the file with tests/golden/make_digests.py
-and reports the moves (its --keep and --compare steps); any other change
-must leave every byte as it is.
+written into the file), tasks at small sizes, and zeros and winding on
+grids that cross mode_coefficients' slice and the CLI's row chunk.  A
+change that means to move output bits regenerates the file with
+tests/golden/make_digests.py and reports the moves (its --keep and
+--compare steps); any other change must leave every byte as it is.
 """
 
 import importlib.util

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dqpt.mode_dynamics as md
 from dqpt import (
     VARIANTS,
     ModeCoefficients,
@@ -281,3 +283,75 @@ def test_cross_propagator_elements_cancel_in_pre_quench_basis():
         u = evolution_operator(k, lamp, t)
         cross = complex(np.vdot(up, u @ lo)) + complex(np.vdot(lo, u @ up))
         assert abs(cross) < 1e-12
+
+
+# --- mode_coefficients in slices of _CHUNK momenta ---------------------------
+
+COEFF_FIELDS = ("eps_pre", "eps_post", "delta_theta", "imbalance", "weight_plus", "weight_minus")
+
+
+def coefficient_fields(protocol, k):
+    c = mode_coefficients(protocol, k)
+    return [getattr(c, name) for name in COEFF_FIELDS]
+
+
+def assert_same_fields(got, want):
+    for name, g, w in zip(COEFF_FIELDS, got, want):
+        assert type(g) is type(w), name
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.shape == w.shape and g.dtype == w.dtype, name
+        assert np.array_equal(g.view(np.int64), w.view(np.int64)), name
+
+
+protocol_st = st.builds(
+    QuenchProtocol,
+    st.floats(0.0, 3.0, **finite),
+    st.floats(0.0, 3.0, **finite),
+    st.one_of(st.sampled_from([math.inf, 1e-300, 1e300]), st.floats(1e-3, 50.0)),
+    st.floats(-math.pi, math.pi, **finite),
+    st.floats(0.1, 10.0, **finite),
+)
+momentum_st = st.one_of(st.sampled_from([0.0, 1e-300, math.pi]), st.floats(0.0, math.pi))
+
+
+@given(
+    protocol_st,
+    st.lists(momentum_st, min_size=0, max_size=40),
+    st.sampled_from([None, 2, 3]),
+)
+@settings(deadline=None, max_examples=300)
+def test_sliced_coefficients_are_one_calls_bits(protocol, momenta, columns):
+    k = np.array(momenta, dtype=float)
+    if columns is not None:  # a 2-d grid, as the quadrature's (panel, node) nodes
+        k = k[: k.size - k.size % columns].reshape(-1, columns)
+    try:
+        want = coefficient_fields(protocol, k)  # one call: k.size is far below _CHUNK
+    except ValueError as exc:  # k = 0 with a field >= 1
+        with pytest.raises(ValueError) as raised, mock.patch.object(md, "_CHUNK", 7):
+            coefficient_fields(protocol, k)
+        assert str(raised.value) == str(exc)
+        return
+    with mock.patch.object(md, "_CHUNK", 7):  # sizes 8 to 40 cross one to five slice edges
+        got = coefficient_fields(protocol, k)
+    assert_same_fields(got, want)
+
+
+@pytest.mark.parametrize("k", [0.0, 1.3, math.pi, np.float64(0.4), np.array(2.2)])
+def test_a_scalar_momentum_takes_no_slices(k):
+    protocol = QuenchProtocol(0.5, 0.8, 10.0, 0.7)  # both fields below 1: k = 0 has an angle
+    want = coefficient_fields(protocol, k)
+    with mock.patch.object(md, "_CHUNK", 1):  # any array of two or more would be sliced
+        assert_same_fields(coefficient_fields(protocol, k), want)
+    assert all(type(v) is float for v in want)
+
+
+@pytest.mark.parametrize("lambdas", [(1.5, 0.5), (0.5, 1.0)])
+def test_the_undefined_angle_is_raised_from_a_later_slice(lambdas):
+    protocol = QuenchProtocol(*lambdas, 2.0)
+    k = np.linspace(0.1, 3.0, 20)
+    k[17] = 0.0  # in the third slice of 7
+    with pytest.raises(ValueError, match="mixing angle undefined") as whole:
+        mode_coefficients(protocol, k)
+    with mock.patch.object(md, "_CHUNK", 7), pytest.raises(ValueError) as sliced:
+        mode_coefficients(protocol, k)
+    assert str(sliced.value) == str(whole.value)

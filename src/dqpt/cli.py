@@ -437,6 +437,7 @@ def _task_winding(cfg, warnings):
     rows = []
     failures = 0
     refinements = 0
+    max_jump = max_jump_t = math.nan  # nan with no row
     for t in _times(cfg).tolist():
         try:
             prof = phase_profile(protocol, t, cfg.k_resolution)
@@ -445,10 +446,14 @@ def _task_winding(cfg, warnings):
             warnings.append(f"sample t={_fmt(t)} skipped: {exc}")
             continue
         refinements += prof.refinements
+        if math.isnan(max_jump) or prof.max_jump > max_jump:  # the first t of the largest
+            max_jump, max_jump_t = prof.max_jump, t
         rows.append((t, prof.winding, prof.refinements))
     diag = [
         ("winding.refinements_total", refinements),
         ("winding.failed_samples", failures),
+        ("winding.max_jump", max_jump),
+        ("winding.max_jump_t", max_jump_t),
     ]
     return None, rows, diag, failures > 0
 

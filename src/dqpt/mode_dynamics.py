@@ -75,6 +75,8 @@ class ModeCoefficients:
         w_minus = np.maximum(w_minus, 0.0)
         if np.ndim(self.eps_pre) == 0:
             return float(w_plus), float(w_minus)
+        if not np.asarray(self.eps_pre).flags.writeable:  # a result that may be kept and shared
+            w_plus.flags.writeable = w_minus.flags.writeable = False
         return w_plus, w_minus
 
     @property
@@ -91,6 +93,10 @@ class ModeCoefficients:
 _CHUNK = 8192
 
 
+# the last read-only request: (protocol, grid, its coefficients once kept)
+_kept = (None, None, None)
+
+
 def mode_coefficients(protocol: QuenchProtocol, k) -> ModeCoefficients:
     """Energies, angle difference and imbalance at k; the eigenbasis weights
     follow on first read (ModeCoefficients).
@@ -99,10 +105,32 @@ def mode_coefficients(protocol: QuenchProtocol, k) -> ModeCoefficients:
     exponential is taken, so every beta up to and including math.inf stays
     in range and the ground-state limit is exact.  An array of more than
     _CHUNK momenta is taken in slices (_sliced_coefficients), every bit the
-    same.
+    same.  A read-only array of at least one dimension, the way the package
+    marks its shared grids, gets read-only fields; from the second request
+    in a row for the same protocol object and the same grid object the
+    result is kept and handed out again (_kept), until a read-only request
+    for another pair replaces it.
     """
     if getattr(k, "size", 1) > _CHUNK:  # no np.size: 1 us a call on a float
         return _sliced_coefficients(protocol, k)
+    if not isinstance(k, np.ndarray) or k.flags.writeable or k.ndim == 0:
+        return _coefficients(protocol, k)
+    global _kept
+    # one read and one write of the whole slot: threads racing here can
+    # only cost a recomputation, never hand out another pair's fields
+    kept_protocol, kept_k, kept = _kept
+    repeated = kept_protocol is protocol and kept_k is k
+    if repeated and kept is not None:
+        return kept
+    coeffs = _coefficients(protocol, k)
+    for v in (coeffs.eps_pre, coeffs.eps_post, coeffs.delta_theta, coeffs.imbalance):
+        v.flags.writeable = False
+    # a one-shot request keeps no fields; the second in a row keeps them
+    _kept = (protocol, k, coeffs if repeated else None)
+    return coeffs
+
+
+def _coefficients(protocol: QuenchProtocol, k) -> ModeCoefficients:
     # the formulas of dispersion and delta_theta on one cos k and sin k;
     # each field's terms are dropped before the next field's are made
     cos_k = np.cos(k)
@@ -136,7 +164,7 @@ def _sliced_coefficients(protocol: QuenchProtocol, k) -> ModeCoefficients:
     flat = np.ravel(k)
     fields = None
     for lo in range(0, flat.size, _CHUNK):
-        part = mode_coefficients(protocol, flat[lo : lo + _CHUNK])
+        part = _coefficients(protocol, flat[lo : lo + _CHUNK])
         values = (part.eps_pre, part.eps_post, part.delta_theta, part.imbalance)
         if fields is None:  # the dtypes one call would give
             fields = [np.empty(flat.size, dtype=v.dtype) for v in values]

@@ -493,13 +493,18 @@ class UnwrapError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class PhaseProfile:
-    """Total, dynamical and geometric phases across the momentum zone."""
+    """Total, dynamical and geometric phases across the momentum zone.
+
+    max_jump is the largest adjacent jump of the three phases on the final
+    grid, below the pi/2 that unwrapping allows: the margin it kept.
+    """
 
     k_samples: np.ndarray
     total_phase: np.ndarray
     dynamical_phase: np.ndarray
     geometric_phase: np.ndarray
     refinements: int
+    max_jump: float
 
     @property
     def winding(self) -> float:
@@ -582,6 +587,7 @@ def phase_profile(protocol: QuenchProtocol, t, k_resolution: int = 256) -> Phase
         dynamical_phase=dynamical,
         geometric_phase=geometric,
         refinements=added,
+        max_jump=float(jump.max()),
     )
 
 

@@ -8,7 +8,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from dqpt import QuenchProtocol, critical_times, dispersion
+from dqpt import QuenchProtocol, critical_times, dispersion, phase_profile
 from dqpt.cli import ConfigError, RunManifest, _sweep_cell, main, parse_number, read_config_file
 from dqpt.observables import _base_panels
 
@@ -243,6 +243,27 @@ class TestWindingTask:
         assert header == ["t", "nu", "unwrap_refinements"]
         assert float(rows[0][1]) == pytest.approx(0.0, abs=1e-3)
         assert float(rows[2][1]) == pytest.approx(-1.0, abs=1e-3)
+
+    def test_manifest_names_the_largest_jump_and_its_time(self, tmp_path):
+        out = tmp_path / "w.csv"
+        assert main(["winding", "--t-min", "1", "--t-max", "1.3", "--steps", "7",
+                     "--out", str(out)]) == 0
+        manifest = read_manifest(tmp_path / "w.csv.manifest")
+        _, rows = read_rows(out)
+        jumps = [phase_profile(QuenchProtocol(0.5, 2.0, 10.0), float(row[0])).max_jump
+                 for row in rows]
+        worst = int(np.argmax(jumps))
+        assert float(manifest["winding.max_jump"]) == jumps[worst] < math.pi / 2
+        assert manifest["winding.max_jump_t"] == rows[worst][0]
+
+    def test_a_run_with_no_row_reports_no_jump(self, tmp_path):
+        out = tmp_path / "w.csv"
+        argv = ["winding", "--coupling", "1e6", "--t-min", "0.1", "--t-max", "0.2",
+                "--steps", "2", "--out", str(out)]
+        assert main(argv) == 3  # both samples fail to unwrap
+        assert read_manifest(tmp_path / "w.csv.manifest")["winding.failed_samples"] == "2"
+        manifest = read_manifest(tmp_path / "w.csv.manifest")
+        assert manifest["winding.max_jump"] == manifest["winding.max_jump_t"] == "nan"
 
     def test_unresolvable_sample_skipped_and_flagged(self, tmp_path):
         out = tmp_path / "w.csv"

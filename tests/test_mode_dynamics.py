@@ -27,6 +27,8 @@ from dqpt import (
     phase_profile,
     variant_report,
 )
+from dqpt import observables
+from dqpt.observables import _base_grid
 
 K_STAR = math.acos(0.8)  # equal-population momentum of the 0.5 -> 2 quench
 
@@ -355,3 +357,98 @@ def test_the_undefined_angle_is_raised_from_a_later_slice(lambdas):
     with mock.patch.object(md, "_CHUNK", 7), pytest.raises(ValueError) as sliced:
         mode_coefficients(protocol, k)
     assert str(sliced.value) == str(whole.value)
+
+
+# --- the kept coefficients of a repeated read-only grid ----------------------
+
+MEMO = QuenchProtocol(0.5, 2.0, 10.0, 0.3)
+
+
+@pytest.fixture
+def nothing_kept(monkeypatch):
+    monkeypatch.setattr(md, "_kept", (None, None, None))
+
+
+@pytest.mark.parametrize("n", [64, 256, 257])
+def test_the_base_grid_is_one_read_only_object_per_size(n):
+    grid = _base_grid(n)
+    assert _base_grid(n) is grid
+    assert not grid.flags.writeable
+
+
+def test_the_second_request_in_a_row_is_kept_and_handed_out_again(nothing_kept):
+    grid = _base_grid(256)
+    first, second, third = (mode_coefficients(MEMO, grid) for _ in range(3))
+    assert third is second  # kept from the second request
+    assert first is not second  # a one-shot request keeps nothing
+    assert mode_coefficients(MEMO, grid) is second
+
+
+def test_only_the_same_protocol_object_and_grid_object_match(nothing_kept):
+    grid = _base_grid(256)
+    kept = [mode_coefficients(MEMO, grid) for _ in range(2)][-1]
+    twin = QuenchProtocol(0.5, 2.0, 10.0, 0.3)
+    assert twin == MEMO and twin is not MEMO
+    assert mode_coefficients(twin, grid) is not kept
+    copy = grid.copy()
+    copy.flags.writeable = False
+    assert mode_coefficients(MEMO, copy) is not kept
+
+
+def test_a_writable_grid_gets_fresh_writable_fields_every_time(nothing_kept):
+    k = _base_grid(256).copy()
+    results = [mode_coefficients(MEMO, k) for _ in range(3)]
+    assert len({id(c) for c in results}) == 3
+    for c in results:
+        for name in COEFF_FIELDS:
+            assert getattr(c, name).flags.writeable, name
+    assert md._kept == (None, None, None)
+
+
+@pytest.mark.parametrize("request_count", [1, 2, 3])
+def test_every_field_of_a_read_only_grids_result_is_read_only(nothing_kept, request_count):
+    grid = _base_grid(256)
+    c = [mode_coefficients(MEMO, grid) for _ in range(request_count)][-1]
+    for name in COEFF_FIELDS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(c, name)[0] = 0.0
+
+
+@pytest.mark.parametrize("request_count", [1, 2, 3])
+def test_a_read_only_grids_fields_are_a_writable_copys_bits(nothing_kept, request_count):
+    grid = _base_grid(256)
+    got = [coefficient_fields(MEMO, grid) for _ in range(request_count)][-1]
+    assert_same_fields(got, coefficient_fields(MEMO, grid.copy()))
+
+
+def test_a_read_only_grid_above_one_slice_is_never_kept(nothing_kept):
+    k = np.linspace(0.1, 3.0, md._CHUNK + 1)
+    k.flags.writeable = False
+    results = [mode_coefficients(MEMO, k) for _ in range(3)]
+    assert len({id(c) for c in results}) == 3
+    assert md._kept == (None, None, None)  # its slices never reach the slot
+    assert_same_fields(coefficient_fields(MEMO, k), coefficient_fields(MEMO, k.copy()))
+
+
+def test_a_winding_scan_computes_its_base_grid_at_most_twice(monkeypatch, nothing_kept):
+    grid = _base_grid(256)
+    requests, computed = [], []
+    request, compute = observables.mode_coefficients, md._coefficients
+
+    def spy_request(protocol, k):
+        requests.append(k)
+        return request(protocol, k)
+
+    def spy_compute(protocol, k):
+        computed.append(k)
+        return compute(protocol, k)
+
+    monkeypatch.setattr(observables, "mode_coefficients", spy_request)
+    monkeypatch.setattr(md, "_coefficients", spy_compute)
+    for t in np.linspace(0.0, 10.0, 401):
+        phase_profile(MEMO, t)
+    refinement_calls = sum(k is not grid for k in requests)
+    assert refinement_calls > 0
+    assert len(requests) == 401 + refinement_calls  # every request is still made
+    assert sum(k is grid for k in computed) <= 2
+    assert len(computed) <= refinement_calls + 2

@@ -221,6 +221,15 @@ class TestPhaseProfile:
         assert prof.refinements >= 1
         assert prof.k_samples.size > 256
 
+    @pytest.mark.parametrize("t", [0.0, 0.7, T_STAR * 0.999, T_STAR * 1.001, 9.3])
+    def test_max_jump_is_the_largest_jump_of_its_own_phases(self, t):
+        prof = phase_profile(STANDARD, t)
+        jumps = [np.abs(np.diff(getattr(prof, f"{kind}_phase"))).max()
+                 for kind in ("total", "dynamical", "geometric")]
+        # the profile's arrays are cumulative sums of the jumps it tested
+        assert prof.max_jump == pytest.approx(max(jumps), rel=0.0, abs=1e-12)
+        assert 0.0 <= prof.max_jump < math.pi / 2
+
 
 class TestWindingNumber:
     def test_zero_before_first_critical_time(self):

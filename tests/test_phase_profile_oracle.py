@@ -4,9 +4,10 @@ The jump test of phase_profile takes gaps by slicing and the largest of
 the three phase jumps per gap in one comparison; before, it used np.diff
 and three comparisons joined by OR.  The oracle below is that earlier
 code, verbatim apart from its names, the budget on added momenta that
-phase_profile gained later and the gauge offset it has since lost (a
-constant added to every dynamical phase, which cancels in every jump).  The unwrapped profile, its
-refinement count and any UnwrapError must agree bit for bit.  The mode
+phase_profile gained later, the gauge offset it has since lost (a
+constant added to every dynamical phase, which cancels in every jump) and
+the largest final jump (max_jump) it has since gained.  The unwrapped profile, its
+refinement count, its largest jump and any UnwrapError must agree bit for bit.  The mode
 coefficients both sides start from are checked against their own first
 form in tests/test_mode_geometry.py.
 """
@@ -89,6 +90,7 @@ def old_phase_profile(
         dynamical_phase=dynamical,
         geometric_phase=geometric,
         refinements=added,
+        max_jump=float(max(np.max(np.abs(d)) for d in (d_tot, d_dyn, d_geo))),
     )
 
 
@@ -114,6 +116,7 @@ def assert_same_outcome(*args):
         assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
         assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
     assert new.refinements == old.refinements
+    assert new.max_jump == old.max_jump < _JUMP_LIMIT
     assert new.winding == old.winding
 
 

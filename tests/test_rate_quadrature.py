@@ -269,3 +269,29 @@ def test_error_bound_dominates_the_large_n_reference_next_to_a_rung(protocol, t)
     reference = observables.rate_function_finite(protocol, 1 << 22, t)
     spread = abs(observables.rate_function_finite(protocol, 1 << 21, t) - reference)
     assert abs(value - reference) <= bound + spread + 1e-13
+
+
+# Guards for coarser base panels (ROADMAP items 3 and 9): the same large-N
+# reference, on two samples where the pi/64 panels keep an honest bound but a
+# coarser width does not.  The fig4 cell at t = 5.712 is off by 9.0e-15
+# against a bound of 6.27e-9 at pi/64, and by 7.38e-7 against 3.98e-9 at
+# pi/16; the drawn protocol by 4.5e-14 against 1.44e-9 at pi/64, and by
+# 6.35e-7 against 5.54e-9 at pi/32 (spread 6.8e-14).
+@pytest.mark.parametrize(
+    "protocol, t",
+    [
+        (QuenchProtocol(1.5, 2.0, 0.1, -math.pi / 2), 5.712),
+        (
+            QuenchProtocol(
+                2.618487163056907, 0.12446519758376573, 0.5149272567220523, 1.1998976901381913
+            ),
+            4.704383665186028,
+        ),
+    ],
+    ids=["fig4-fooled-at-pi-16", "drawn-fooled-at-pi-32"],
+)
+def test_error_bound_dominates_the_large_n_reference_where_coarser_panels_fail(protocol, t):
+    value, bound = rate_function(protocol, t)
+    reference = observables.rate_function_finite(protocol, 1 << 22, t)
+    spread = abs(observables.rate_function_finite(protocol, 1 << 21, t) - reference)
+    assert abs(value - reference) <= bound + spread + 1e-13
